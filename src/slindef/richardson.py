@@ -18,12 +18,14 @@ otherwise the entry is ``None``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .coefficients import ProblemSpec
-from .errors import DriftUndefined, EmptyWindowError, InvalidProblemError
-from .propagator import (initial_state, norm_kernels, rk45, solution_at,
-                         transfer_across)
+from .errors import (DriftUndefined, EmptyWindowError, InvalidProblemError,
+                     lambda_entry, overflow_failure)
+from .propagator import (_sampled_weighted, initial_state, norm_kernels,
+                         solution_at, transfer_across)
 from .spectrum import (ScanResult, find_real_eigenvalues, interior_zeros,
                        records_to_csv)
 
@@ -62,30 +64,15 @@ def _piece_weighted(piece, lam: float, y0: float, yp0: float,
         t = transfer_across(piece, lam, piece.x0, x_hi)
         y1, yp1 = t.apply(y0, yp0)
         return contrib, y1, yp1
-    w = piece.w
-    q_at = piece.q_at
-
-    def f(x: float, u: tuple) -> tuple:
-        y, yp, _ = u
-        k2 = lam * w + q_at(x)
-        return (yp, -k2 * y, w * y * y)
-
-    stops = [piece.x0]
-    for xv, _ in piece.q:  # type: ignore[union-attr]
-        if piece.x0 < xv < x_hi:
-            stops.append(xv)
-    stops.append(x_hi)
-    u = (y0, yp0, 0.0)
-    for xa, xb in zip(stops, stops[1:]):
-        u = rk45(f, xa, xb, u, rtol=1e-11)
-    return u[2], u[0], u[1]
+    return _sampled_weighted(piece, lam, y0, yp0, x_hi)
 
 
+@lambda_entry
 def weighted_norm(spec: ProblemSpec, lam: complex | float) -> float:
     """``int_a^b w(x) y(x, lambda)^2 dx`` for the left solution at real
     ``lambda``.  Constant-potential pieces use closed-form kernel integrals
-    (entire in ``lambda``); tabulated pieces use the adaptive integrator on
-    the augmented system."""
+    (entire in ``lambda``); tabulated pieces use the Lagrange identity on
+    the lambda-derivative their Magnus steps carry."""
     lam = _require_real(lam, "weighted_norm")
     state = initial_state(spec)
     y, yp = state.y, state.yp
@@ -93,9 +80,12 @@ def weighted_norm(spec: ProblemSpec, lam: complex | float) -> float:
     for piece in spec.pieces:
         contrib, y, yp = _piece_weighted(piece, lam, y, yp)
         total += contrib
+    if not (abs(total) < math.inf):
+        raise overflow_failure(lam)
     return total
 
 
+@lambda_entry
 def weighted_partial(spec: ProblemSpec, lam: float, x_hi: float) -> float:
     """``int_a^{x_hi} w y^2 dx`` for the left solution."""
     lam = _require_real(lam, "weighted_partial")
@@ -111,6 +101,8 @@ def weighted_partial(spec: ProblemSpec, lam: float, x_hi: float) -> float:
         clip = min(piece.x1, x_hi)
         contrib, y, yp = _piece_weighted(piece, lam, y, yp, clip)
         total += contrib
+    if not (abs(total) < math.inf):
+        raise overflow_failure(lam)
     return total
 
 

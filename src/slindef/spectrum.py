@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .coefficients import ProblemSpec
-from .errors import (ContourError, InvalidProblemError, NumericalFailure)
-from .propagator import (StateVector, breakpoint_states, states_on_grid,
-                         transfer_across)
+from .errors import (ContourError, InvalidProblemError, NumericalFailure,
+                     lambda_entry, overflow_failure)
+from .propagator import StateVector, states_on_grid, transfer_across
 
 __all__ = [
     "EigenRecord",
@@ -52,18 +52,21 @@ _EPS = 2.220446049250313e-16
 # Characteristic function
 # ---------------------------------------------------------------------------
 
+@lambda_entry
 def characteristic_scaled(spec: ProblemSpec, lam: complex | float
                           ) -> tuple[complex | float, float]:
     """``(D(lambda), scale)`` where ``scale`` tracks the size of the solution
     along the interval.  ``|D| / scale`` is the resolution-aware residual:
     values at or below a few hundred ulps of ``scale`` are numerically zero.
     """
-    states = breakpoint_states(spec, lam)
-    scale = 1.0
-    for st in states:
-        scale = max(scale, abs(st.y) + abs(st.yp))
-    end = states[-1]
-    d = end.y * math.cos(spec.beta) + end.yp * math.sin(spec.beta)
+    y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
+    scale = max(1.0, abs(y) + abs(yp))
+    for piece in spec.pieces:
+        y, yp = transfer_across(piece, lam).apply(y, yp)
+        scale = max(scale, abs(y) + abs(yp))
+    d = y * math.cos(spec.beta) + yp * math.sin(spec.beta)
+    if not (scale < math.inf and d == d):
+        raise overflow_failure(lam)
     return d, scale
 
 
@@ -93,6 +96,7 @@ def _bisect_zero(f: Callable[[float], float], t0: float, t1: float,
     return 0.5 * (t0 + t1)
 
 
+@lambda_entry
 def interior_zeros(spec: ProblemSpec, lam: float,
                    end_band: float | None = None) -> list[float]:
     """Locations of zeros of the left solution strictly inside ``(a, b)``.
@@ -163,7 +167,11 @@ def interior_zeros(spec: ProblemSpec, lam: float,
         else:
             vals = [lam * piece.w + qv for (_, qv) in piece.q]  # type: ignore[union-attr]
             kmax = math.sqrt(max(0.0, max(vals)))
-            n = max(32, min(200_000, math.ceil(4.0 * kmax * length / math.pi)))
+            n = max(32, math.ceil(4.0 * kmax * length / math.pi))
+            if n > 200_000:
+                raise NumericalFailure(
+                    f"sign tracking would need {n} cells on a tabulated piece "
+                    f"at lambda={lam!r}")
             grid = states_on_grid(piece, lam, state, n)
             for s_prev, s_next in zip(grid, grid[1:]):
                 ya, yb = s_prev.y, s_next.y
@@ -187,6 +195,8 @@ def interior_zeros(spec: ProblemSpec, lam: float,
             if end_state.y == 0.0 and not last:
                 zeros.append(end_state.x)
             state = StateVector(piece.x1, end_state.y, end_state.yp)
+    if not (abs(state.y) + abs(state.yp) < math.inf):
+        raise overflow_failure(lam)
     zeros.sort()
     out: list[float] = []
     for z in zeros:
@@ -518,13 +528,15 @@ def _empirical_indices(counts: Sequence[int]) -> tuple[int | None, int | None]:
     return n_r, n_h
 
 
-def _thread_count() -> int:
+def _thread_count(n_cells: int) -> int:
+    """Workers asked for by ``SL_THREADS``, at least 1 and at most the CPU
+    count and the number of lattice cells."""
     raw = os.environ.get("SL_THREADS", "")
     try:
         n = int(raw)
     except ValueError:
         return 1
-    return max(1, n)
+    return max(1, min(n, os.cpu_count() or 1, n_cells))
 
 
 def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
@@ -533,9 +545,10 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
     zero count, weighted norm, and residual.
 
     The worker count comes from the ``SL_THREADS`` environment variable
-    (default 1, serial); workers split the window into subintervals and
-    results are merged and deduplicated.  ``refine`` densifies the detection
-    grid (the found set must be stable under refinement).
+    (default 1, serial; capped at the CPU count); workers split the window
+    into subintervals and results are merged and deduplicated.  ``refine``
+    densifies the detection grid (the found set must be stable under
+    refinement).
     """
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -543,14 +556,14 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
     if not (tol > 0.0):
         raise InvalidProblemError(f"tol must be positive, got {tol!r}")
 
-    threads = _thread_count()
+    # workers share one lattice, split on cell boundaries, so the found set
+    # (and therefore the output bytes) is independent of the count
+    nodes = _detection_grid(spec, lo, hi, refine)
+    n_cells = len(nodes) - 1
+    threads = _thread_count(n_cells)
     if threads == 1:
-        raw_roots = _scan_chunk(spec, lo, hi, tol, refine)
+        raw_roots = _scan_chunk(spec, lo, hi, tol, refine, nodes)
     else:
-        # workers share one lattice, split on cell boundaries, so the found
-        # set (and therefore the output bytes) is independent of the count
-        nodes = _detection_grid(spec, lo, hi, refine)
-        n_cells = len(nodes) - 1
         bounds = [round(j * n_cells / threads) for j in range(threads + 1)]
         jobs = []
         for b0, b1 in zip(bounds, bounds[1:]):

@@ -479,7 +479,8 @@ def test_criterion_8_numerical_invariants(capsys):
                 problems.append(f"draw {i}: literal det defect "
                                 f"{abs(det - 1.0):.2e}")
 
-    # (b) closed-form vs adaptive propagation across 100 draws
+    # (b) closed-form vs Magnus propagation across 100 draws: the same
+    # constant potential, once as a constant and once as a flat table
     for i in range(100):
         lam = rng.uniform(-300.0, 2000.0)
         x1 = rng.uniform(0.4, 1.5)

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import slindef
 from slindef import one_turning_point, save_problem, two_turning_point
 from slindef.cli import main
 
@@ -157,6 +160,27 @@ def test_drift(capsys, app_file):
     assert rc == 0
     doc = json.loads(out)
     assert doc["drift"] == pytest.approx(-0.005153606088376104, rel=1e-4)
+
+
+@pytest.mark.parametrize("lam, code", [
+    ("6e5", 3), ("-6e5", 3), ("1e8", 3), ("-1e8", 3), ("nan", 2), ("inf", 2)])
+def test_drift_at_extreme_lambda_exits_cleanly(capsys, one_tp_file, lam, code):
+    rc, _, err = run(capsys, "drift", one_tp_file,
+                     f"--lam={lam}", "--zero-index", "1")
+    assert rc == code
+    assert "Traceback" not in err
+
+
+def test_overflow_in_child_process_exits_3(tmp_path, one_tp_file):
+    src = pathlib.Path(slindef.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "slindef.cli", "scan", one_tp_file,
+         "--window", "6e5", "6.0001e5"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_drift_missing_zero_exit_3(capsys, one_tp_file):

@@ -1,4 +1,4 @@
-"""Transfer-matrix kernels, propagation, and the adaptive integrator."""
+"""Transfer-matrix kernels, propagation, and the Magnus steps."""
 
 import cmath
 import math
@@ -19,12 +19,8 @@ from slindef import (
     propagate,
     solution_at,
 )
-from slindef.propagator import (
-    breakpoint_states,
-    initial_state,
-    rk45,
-    transfer_across,
-)
+from slindef import propagator
+from slindef.propagator import initial_state, transfer_across
 
 from oracles import ivp_states
 
@@ -156,7 +152,7 @@ class TestTransfer:
 
     def test_closed_form_agrees_with_adaptive_route(self):
         # same physical coefficients, once as a constant (closed form) and
-        # once as a two-node table (adaptive integrator route)
+        # once as a two-node table (Magnus route)
         for lam in (-17.3, 0.0, 4.2, 61.7):
             const_piece = Piece(0.0, 0.9, -1.3, 2.5)
             table_piece = Piece(0.0, 0.9, -1.3, ((0.0, 2.5), (0.9, 2.5)))
@@ -180,7 +176,7 @@ class TestPropagation:
         assert s.y == pytest.approx(s.yp)
 
     def test_breakpoint_states_chain(self, app_spec):
-        states = breakpoint_states(app_spec, 7.0)
+        states = solution_at(app_spec, 7.0, app_spec.coeff.breakpoints)
         assert len(states) == len(app_spec.pieces) + 1
         assert states[0].x == app_spec.a
         assert states[-1].x == app_spec.b
@@ -208,28 +204,51 @@ class TestPropagation:
 
 
 # --------------------------------------------------------------------------
-# The generic adaptive integrator
+# Magnus steps on tabulated potentials
 # --------------------------------------------------------------------------
 
-class TestRk45:
-    def test_harmonic_oscillator(self):
-        def f(x, u):
-            return (u[1], -u[0])
+class TestMagnus:
+    # one linear table segment with a steep slope: the Magnus error is
+    # all truncation, with nothing for a flat segment to make exact
+    PIECE = Piece(0.0, 1.0, 1.0, ((0.0, -20.0), (1.0, 40.0)))
 
-        y = rk45(f, 0.0, 1.0, (0.0, 1.0), rtol=1e-12)
-        assert y[0] == pytest.approx(math.sin(1.0), abs=1e-11)
-        assert y[1] == pytest.approx(math.cos(1.0), abs=1e-11)
+    @staticmethod
+    def _error(spec, lam):
+        term, _ = propagate(spec, lam)
+        y_ref, yp_ref = ivp_states(spec, lam)
+        scale = max(1.0, abs(y_ref), abs(yp_ref))
+        return max(abs(term.y - y_ref), abs(term.yp - yp_ref)) / scale
 
-    def test_forward_only_contract(self):
-        def f(x, u):
-            return (u[1], -u[0])
+    def test_fourth_order_convergence(self, monkeypatch):
+        spec = ProblemSpec(PiecewiseCoefficient((self.PIECE,)))
+        errors = []
+        for n in (8, 16, 32, 64):
+            monkeypatch.setattr(propagator, "_MAGNUS_STEPS_PER_UNIT", n)
+            errors.append(self._error(spec, 17.0))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 12.0 <= coarse / fine <= 20.0
 
-        with pytest.raises(InvalidProblemError):
-            rk45(f, 1.0, 0.0, (0.0, 1.0), rtol=1e-12)
+    def test_error_does_not_grow_with_lambda(self):
+        spec = ProblemSpec(PiecewiseCoefficient((self.PIECE,)))
+        errors = {lam: self._error(spec, lam)
+                  for lam in (17.0, 1e3, 1e4, -500.0)}
+        assert max(errors.values()) <= 1e-8
+        assert errors[1e4] <= 10.0 * max(errors[17.0], 1e-10)
 
-    def test_stiffish_exponential(self):
-        def f(x, u):
-            return (-50.0 * u[0],)
+    @given(st.floats(min_value=-500.0, max_value=1e4))
+    def test_unit_determinant(self, lam):
+        piece = Piece(0.0, 1.0, -1.3, ((0.0, 4.0), (0.35, -9.0), (1.0, 25.0)))
+        m = transfer_across(piece, lam)
+        assert rel_det_defect(m) <= 1e-12
 
-        y = rk45(f, 0.0, 1.0, (1.0,), rtol=1e-11)
-        assert y[0] == pytest.approx(math.exp(-50.0), rel=1e-7)
+    def test_flat_segment_is_one_exact_step(self, monkeypatch):
+        # a single step must match the closed form even with a step count
+        # far too small for a sloped segment
+        monkeypatch.setattr(propagator, "_MAGNUS_STEPS_PER_UNIT", 1)
+        for lam in (-40.0, 3.0, 900.0):
+            mc = transfer_across(Piece(0.0, 0.8, 1.7, -2.0), lam)
+            mt = transfer_across(
+                Piece(0.0, 0.8, 1.7, ((0.0, -2.0), (0.8, -2.0))), lam)
+            for attr in ("m11", "m12", "m21", "m22"):
+                assert getattr(mt, attr) == pytest.approx(
+                    getattr(mc, attr), rel=1e-12, abs=1e-12)

@@ -64,6 +64,29 @@ class TestWeightedNorm:
         got = weighted_norm(spec, lam)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
 
+    @given(st.floats(min_value=-500.0, max_value=1e3),
+           st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=1,
+                    max_size=4, unique=True),
+           st.lists(st.floats(min_value=-10.0, max_value=30.0), min_size=6,
+                    max_size=6),
+           st.floats(min_value=0.1, max_value=0.9))
+    def test_matches_simpson_oracle_tabulated_range(self, lam, inner, qs,
+                                                     clip):
+        xs = [0.0, *sorted(inner), 1.0]
+        table = tuple(zip(xs, qs))
+        tab = Piece(0.0, 1.0, -1.0, table)
+        spec = ProblemSpec(PiecewiseCoefficient((tab, Piece(1.0, 2.0, 2.0, 1.0))))
+        want = simpson_weighted_norm(spec, lam)
+        assert weighted_norm(spec, lam) == pytest.approx(want, rel=1e-8,
+                                                         abs=1e-8)
+        # the same table cut at ``clip``: its full norm is the partial one
+        cut = tuple((x, q) for x, q in table if x < clip) + (
+            (clip, tab.q_at(clip)),)
+        head = ProblemSpec(PiecewiseCoefficient((Piece(0.0, clip, -1.0, cut),)))
+        want = simpson_weighted_norm(head, lam)
+        assert weighted_partial(spec, lam, clip) == pytest.approx(
+            want, rel=1e-8, abs=1e-8)
+
     def test_partial_reaches_full(self, app_spec):
         lam = 7.0
         assert weighted_partial(app_spec, lam, app_spec.b) == pytest.approx(

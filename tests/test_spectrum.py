@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from slindef import (
     EigenRecord,
     InvalidProblemError,
+    NumericalFailure,
     Piece,
     PiecewiseCoefficient,
     ProblemSpec,
@@ -21,12 +22,16 @@ from slindef import (
     find_real_eigenvalues,
     interior_zeros,
     one_turning_point,
+    propagate,
     records_to_csv,
     scan_to_csv,
     scan_to_json,
     two_turning_point,
+    weighted_norm,
 )
-from slindef.spectrum import _empirical_indices, characteristic_scaled
+from slindef.richardson import weighted_partial
+from slindef.spectrum import (_empirical_indices, _thread_count,
+                              characteristic_scaled)
 
 from oracles import dense_zero_count, ivp_characteristic
 
@@ -324,3 +329,65 @@ class TestSerialization:
         assert rec.lam == 3.0 - 4.0j
         assert not rec.is_real
         assert rec.to_dict()["im_lambda"] == -4.0
+
+
+# --------------------------------------------------------------------------
+# Error paths at large and non-finite lambda
+# --------------------------------------------------------------------------
+
+class TestLambdaRange:
+    ENTRY_POINTS = (
+        propagate, characteristic, characteristic_scaled, interior_zeros,
+        count_zeros, weighted_norm,
+        lambda spec, lam: weighted_partial(spec, lam, 0.5),
+    )
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf,
+                                     complex(1.0, math.nan)])
+    def test_non_finite_lambda_is_invalid(self, one_tp_m10, lam):
+        for fn in self.ENTRY_POINTS:
+            with pytest.raises(InvalidProblemError):
+                fn(one_tp_m10, lam)
+
+    @pytest.mark.parametrize("lam", [6e5, -6e5, 1e8, -1e8])
+    def test_large_lambda_gives_result_or_numerical_failure(self, lam):
+        tab = Piece(0.0, 1.0, 1.0, ((0.0, -3.0), (0.5, 8.0), (1.0, 2.0)))
+        for spec in (one_turning_point(-10.0), one_turning_point(5.0),
+                     ProblemSpec(PiecewiseCoefficient((tab,)))):
+            for fn in self.ENTRY_POINTS:
+                try:
+                    out = fn(spec, lam)
+                except NumericalFailure:
+                    continue
+                # results of every type (states, matrices, floats, lists)
+                # print their floats through repr
+                assert "nan" not in repr(out) and "inf" not in repr(out)
+
+    def test_overflow_is_numerical_failure(self, one_tp_m10):
+        # cosh(sqrt(1e8)) overflows on the negative-weight piece
+        for fn in self.ENTRY_POINTS:
+            with pytest.raises(NumericalFailure):
+                fn(one_tp_m10, 1e8)
+
+    def test_unresolvable_sign_tracking_is_numerical_failure(self):
+        tab = Piece(0.0, 1.0, 1.0, ((0.0, -3.0), (1.0, 2.0)))
+        spec = ProblemSpec(PiecewiseCoefficient((tab,)))
+        with pytest.raises(NumericalFailure):
+            count_zeros(spec, 1e12)
+
+
+class TestThreadCount:
+    @pytest.mark.parametrize("raw, want", [
+        ("0", 1), ("-3", 1), ("abc", 1), ("", 1), ("2", 2)])
+    def test_parsing(self, monkeypatch, raw, want):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("SL_THREADS", raw)
+        assert _thread_count(100) == want
+
+    def test_capped_by_cpus_and_cells(self, monkeypatch):
+        monkeypatch.setenv("SL_THREADS", "1000000")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _thread_count(100) == 4
+        assert _thread_count(3) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _thread_count(100) == 1
