@@ -45,13 +45,24 @@ Scalar = complex | float
 
 _SERIES_CUTOFF = 1e-4
 
+# Largest phase sqrt(z)*t the trig kernels accept.  Rounding puts an error
+# of about eps*kt on the phase, so past ~1e15 it has no correct digits left.
+_PHASE_LIMIT = 1e15
+
+
+def _phase_failure(kt: Scalar) -> NumericalFailure:
+    return NumericalFailure(
+        f"the phase {kt!r} of the solution exceeds {_PHASE_LIMIT:g}: double "
+        f"precision leaves it no correct digits")
+
 
 def cs_kernels(z: Scalar, t: float) -> tuple[Scalar, Scalar]:
     """Return ``(C, S) = (cos(sqrt(z) t), sin(sqrt(z) t)/sqrt(z))``.
 
     Real input stays on the real fast path (trig for ``z > 0``, hyperbolic
     for ``z < 0``); small ``|z| t^2`` uses the power series shared by both
-    branches, which keeps the kernels smooth through ``z = 0``.
+    branches, which keeps the kernels smooth through ``z = 0``.  A phase
+    past ``_PHASE_LIMIT`` raises :class:`NumericalFailure`.
     """
     u = z * t * t
     if abs(u) < _SERIES_CUTOFF:
@@ -61,10 +72,14 @@ def cs_kernels(z: Scalar, t: float) -> tuple[Scalar, Scalar]:
     if isinstance(z, complex):
         k = cmath.sqrt(z)
         kt = k * t
+        if abs(kt.real) > _PHASE_LIMIT:
+            raise _phase_failure(kt)
         return cmath.cos(kt), cmath.sin(kt) / k
     if z > 0.0:
         k = math.sqrt(z)
         kt = k * t
+        if kt > _PHASE_LIMIT:
+            raise _phase_failure(kt)
         return math.cos(kt), math.sin(kt) / k
     kappa = math.sqrt(-z)
     kt = kappa * t

@@ -102,10 +102,11 @@ def interior_zeros(spec: ProblemSpec, lam: float,
     """Locations of zeros of the left solution strictly inside ``(a, b)``.
 
     ``lam`` must be real; on pieces where ``lambda*w + q`` is a positive
-    constant the zeros come from the phase representation in closed form, on
-    the remaining constant pieces the solution has at most one zero which is
-    bracketed and bisected, and tabulated pieces fall back to sign tracking
-    on a wavelength-resolving grid.
+    constant the zeros come from the phase representation in closed form.
+    On the remaining constant pieces the solution has at most one zero: the
+    signs at the piece ends decide whether it is there, and an ``atanh``,
+    linear or ``atan`` formula places it.  Tabulated pieces fall back to sign
+    tracking on a wavelength-resolving grid.
 
     ``end_band`` is the exclusion half-width next to ``x = b``.  For
     Dirichlet conditions at ``b`` it defaults to ``1e-6 * (b - a)``: at an
@@ -146,11 +147,8 @@ def interior_zeros(spec: ProblemSpec, lam: float,
                 for m in range(m_lo, m_hi + 1):
                     zeros.append(piece.x0 + (m * math.pi - phi) / k)
             else:
-                # At most one zero on the piece.
-                def yval(t: float) -> float:
-                    tt = transfer_across(piece, lam, piece.x0, piece.x0 + t)
-                    return tt.apply(y0, yp0)[0]
-
+                # At most one zero on the piece, where
+                # C(k2, t) y0 + S(k2, t) y0' = 0 in closed form.
                 if y0 == 0.0:
                     ys, ts = math.copysign(1.0, yp0), snap
                 else:
@@ -159,10 +157,17 @@ def interior_zeros(spec: ProblemSpec, lam: float,
                     if not last:
                         zeros.append(piece.x1)
                 elif (ys < 0.0) != (y1 < 0.0):
-                    f0 = yval(ts) if ts > 0.0 else ys
-                    t_star = _bisect_zero(yval, ts, length, f0, y1,
-                                          1e-13 * max(1.0, b - a))
-                    zeros.append(piece.x0 + t_star)
+                    ratio = -y0 / yp0
+                    if k2 < 0.0:
+                        kappa = math.sqrt(-k2)
+                        r = kappa * ratio
+                        t_star = math.atanh(r) / kappa if r < 1.0 else length
+                    elif k2 == 0.0:
+                        t_star = ratio
+                    else:
+                        k = math.sqrt(k2)
+                        t_star = math.atan(k * ratio) / k
+                    zeros.append(piece.x0 + min(max(t_star, ts), length))
             state = StateVector(piece.x1, y1, yp1)
         else:
             vals = [lam * piece.w + qv for (_, qv) in piece.q]  # type: ignore[union-attr]
@@ -280,22 +285,21 @@ class ScanResult:
 
 def _refine_bracket(f: Callable[[float], float], x0: float, x1: float,
                     f0: float, f1: float, xtol: float) -> tuple[float, float]:
-    """Illinois-damped false position on a sign-changing bracket.  Returns
-    the endpoint with the smaller ``|f|`` once the bracket is ``<= xtol``."""
+    """Illinois-damped false position (Dowell & Jarratt, BIT 1971) on a
+    sign-changing bracket.  ``x1`` is always the newest point, so the
+    bracket is unordered.  Returns the endpoint with the smaller ``|f|``
+    once the bracket is ``<= xtol`` wide."""
     g0, g1 = f0, f1
     side = 0
     for _ in range(200):
-        if x1 - x0 <= xtol:
+        if abs(x1 - x0) <= xtol:
             break
+        xm = 0.5 * (x0 + x1)
         denom = g1 - g0
-        if denom == 0.0:
-            xm = 0.5 * (x0 + x1)
-        else:
-            xm = x1 - g1 * (x1 - x0) / denom
-            lo_guard = x0 + 0.01 * (x1 - x0)
-            hi_guard = x1 - 0.01 * (x1 - x0)
-            if not (lo_guard <= xm <= hi_guard):
-                xm = 0.5 * (x0 + x1)
+        if denom != 0.0:
+            xs = x1 - g1 * (x1 - x0) / denom
+            if min(x0, x1) < xs < max(x0, x1):
+                xm = xs
         gm = f(xm)
         if gm == 0.0:
             return xm, 0.0
@@ -311,17 +315,17 @@ def _refine_bracket(f: Callable[[float], float], x0: float, x1: float,
     return (x0, g0) if abs(g0) <= abs(g1) else (x1, g1)
 
 
-def _newton_polish(spec: ProblemSpec, lam: float, tol: float
-                   ) -> tuple[float, float]:
+def _newton_polish(spec: ProblemSpec, lam: float
+                   ) -> tuple[float, float, float]:
     """Drive a real root of ``D`` to the floating-point floor.  Returns the
-    best ``(lambda, |D|)`` visited."""
-    best_lam, best_res = lam, float("inf")
+    best ``(lambda, |D|, scale)`` visited."""
+    best_lam, best_res, best_scale = lam, float("inf"), 1.0
     x = lam
     for _ in range(40):
         d, scale = characteristic_scaled(spec, x)
         res = abs(d)
         if res < best_res:
-            best_lam, best_res = x, res
+            best_lam, best_res, best_scale = x, res, scale
         if res <= 32.0 * _EPS * scale:
             break
         h = 1.5e-8 * max(1.0, abs(x))
@@ -336,9 +340,9 @@ def _newton_polish(spec: ProblemSpec, lam: float, tol: float
         if abs(step) <= 4.0 * _EPS * max(1.0, abs(x)):
             d, scale = characteristic_scaled(spec, x)
             if abs(d) < best_res:
-                best_lam, best_res = x, abs(d)
+                best_lam, best_res, best_scale = x, abs(d), scale
             break
-    return best_lam, best_res
+    return best_lam, best_res, best_scale
 
 
 def _detection_grid(spec: ProblemSpec, lo: float, hi: float,
@@ -383,8 +387,7 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
     roots: list[float] = []
 
     def emit(x: float) -> None:
-        polished, residual = _newton_polish(spec, x, tol)
-        _, scale = characteristic_scaled(spec, polished)
+        polished, residual, scale = _newton_polish(spec, x)
         if residual > 1e-7 * scale:
             return  # a |D| minimum or count jump that is not actually a root
         if lo - 1e-9 * max(1.0, abs(lo)) <= polished <= hi + 1e-9 * max(1.0, abs(hi)):

@@ -11,7 +11,8 @@ import sys
 import pytest
 
 import slindef
-from slindef import one_turning_point, save_problem, two_turning_point
+from slindef import (Piece, PiecewiseCoefficient, ProblemSpec,
+                     one_turning_point, save_problem, two_turning_point)
 from slindef.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -181,6 +182,16 @@ def test_overflow_in_child_process_exits_3(tmp_path, one_tp_file):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_scan_past_phase_precision_exit_3(capsys, tmp_path):
+    path = tmp_path / "classical.json"
+    save_problem(ProblemSpec(PiecewiseCoefficient(
+        (Piece(0.0, 1.0, 1.0, 0.0),))), path)
+    rc, out, err = run(capsys, "scan", str(path), "--window", "1e300", "2e300")
+    assert rc == 3
+    assert out == ""
+    assert "phase" in err and "Traceback" not in err
 
 
 def test_drift_missing_zero_exit_3(capsys, one_tp_file):

@@ -29,9 +29,11 @@ from slindef import (
     two_turning_point,
     weighted_norm,
 )
+from slindef import spectrum
+from slindef.propagator import solution_at, transfer_across
 from slindef.richardson import weighted_partial
-from slindef.spectrum import (_empirical_indices, _thread_count,
-                              characteristic_scaled)
+from slindef.spectrum import (_empirical_indices, _refine_bracket,
+                              _thread_count, characteristic_scaled)
 
 from oracles import dense_zero_count, ivp_characteristic
 
@@ -113,12 +115,105 @@ class TestZeroCounting:
         for lam in (5.0, 40.0, 90.0):
             assert count_zeros(spec, lam) == dense_zero_count(spec, lam)
 
+    # lambda*w + q on a half-unit piece: decaying/growing, linear, or so
+    # slowly oscillating that sqrt(k2) * length <= 1e-2
+    NON_OSCILLATORY_K2 = st.one_of(
+        st.floats(min_value=-400.0, max_value=-1e-12),
+        st.just(0.0),
+        st.floats(min_value=1e-12, max_value=4e-4))
+
+    @given(st.floats(min_value=0.01, max_value=0.49),
+           st.floats(min_value=-50.0, max_value=50.0),
+           st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]),
+           NON_OSCILLATORY_K2, NON_OSCILLATORY_K2)
+    def test_non_oscillatory_zeros_in_closed_form(self, t0, lam, w1, w2,
+                                                  k2a, k2b):
+        # q = k2 - lam*w gives lam*w + q == 0.0 exactly when k2 == 0.0
+        first = Piece(0.0, 0.5, w1, k2a - lam * w1)
+        # boundary angle that puts the first piece's zero near t0, where
+        # y0/y0' = -S/C; the second piece meets whatever state arrives
+        k2 = lam * w1 + first.q
+        if k2 < 0.0:
+            s_over_c = math.tanh(math.sqrt(-k2) * t0) / math.sqrt(-k2)
+        elif k2 == 0.0:
+            s_over_c = t0
+        else:
+            s_over_c = math.tan(math.sqrt(k2) * t0) / math.sqrt(k2)
+        spec = ProblemSpec(PiecewiseCoefficient((
+            first, Piece(0.5, 1.0, w2, k2b - lam * w2))),
+            alpha=math.pi - math.atan(s_over_c))
+        zeros = interior_zeros(spec, lam)
+        # the oracle ignores a 1e-6 band at each end, as interior_zeros
+        # does at b for Dirichlet data
+        band = 1e-6 * (spec.b - spec.a)
+        assert len([z for z in zeros if z > spec.a + band]) == \
+            dense_zero_count(spec, lam)
+        for z in zeros:
+            piece = next(p for p in spec.pieces if p.x0 <= z <= p.x1)
+            (start,) = solution_at(spec, lam, [piece.x0])
+
+            def y(x):
+                t = transfer_across(piece, lam, piece.x0, x)
+                return t.apply(start.y, start.yp)[0]
+
+            lo, hi = piece.x0, piece.x1
+            y_lo = y(lo)
+            while hi - lo > 1e-15:
+                mid = 0.5 * (lo + hi)
+                if (y(mid) < 0.0) == (y_lo < 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+            # y(x) = m11 y0 + m12 y0' carries rounding of a few ulps of its
+            # larger term, which blurs the zero by that over |y'(z)|: many
+            # ulps where the solution decays into a zero near a piece's end
+            t = transfer_across(piece, lam, piece.x0, z)
+            blur = 4.0 * 2.2e-16 * (abs(t.m11 * start.y) + abs(t.m12 * start.yp))
+            slope = abs(t.apply(start.y, start.yp)[1])
+            assert z == pytest.approx(
+                0.5 * (lo + hi), abs=1e-12 * (spec.b - spec.a) + blur / slope)
+
 
 # --------------------------------------------------------------------------
 # Real-window scans
 # --------------------------------------------------------------------------
 
+class TestRefineBracket:
+    @pytest.mark.parametrize("f, x0, x1, root", [
+        (lambda x: x - 0.3, 0.0, 1.0, 0.3),
+        (lambda x: math.exp(x) - 2.0, 0.0, 3.0, math.log(2.0)),
+        (math.sin, 2.0, 4.0, math.pi),
+        (lambda x: math.tanh(50.0 * (x - 0.7)), 0.0, 1.0, 0.7),
+    ])
+    def test_converges_within_xtol(self, f, x0, x1, root):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        x, _ = _refine_bracket(counted, x0, x1, f(x0), f(x1), 1e-12)
+        assert abs(x - root) <= 1e-12
+        assert len(calls) <= 20
+
+
 class TestRealScan:
+    @pytest.mark.parametrize("q0", [-10.0, -5.0, 3.0])
+    def test_each_root_is_polished_once(self, monkeypatch, q0):
+        # a bracket refined to tol leaves the root outside both sub-cells,
+        # so no root is found (and polished) again further down
+        calls = []
+        polish = spectrum._newton_polish
+
+        def counted(spec, lam):
+            calls.append(lam)
+            return polish(spec, lam)
+
+        monkeypatch.setattr(spectrum, "_newton_polish", counted)
+        res = find_real_eigenvalues(one_turning_point(q0), (-60.0, 60.0), 1e-9)
+        assert res.records
+        assert len(calls) <= 2 * len(res.records)
+
     def test_classical_spectrum(self, classical_spec):
         res = find_real_eigenvalues(classical_spec, (1.0, 100.0), 1e-9)
         assert [r.re_lambda for r in res.records] == pytest.approx(
@@ -368,6 +463,17 @@ class TestLambdaRange:
         for fn in self.ENTRY_POINTS:
             with pytest.raises(NumericalFailure):
                 fn(one_tp_m10, 1e8)
+
+    def test_phase_past_double_precision_is_numerical_failure(
+            self, classical_spec):
+        # sqrt(lambda) is the phase across the unit interval: 1e14 still
+        # has digits, 1e150 has none
+        assert math.isfinite(characteristic(classical_spec, 1e28))
+        for lam in (1e300, complex(1e300, 1.0), 1e31):
+            with pytest.raises(NumericalFailure, match="phase"):
+                characteristic(classical_spec, lam)
+        with pytest.raises(NumericalFailure, match="phase"):
+            count_zeros(classical_spec, 1e300)
 
     def test_unresolvable_sign_tracking_is_numerical_failure(self):
         tab = Piece(0.0, 1.0, 1.0, ((0.0, -3.0), (1.0, 2.0)))
