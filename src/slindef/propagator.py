@@ -8,6 +8,11 @@ the entire-function kernels
 evaluated with ``z = k2``.  Both are entire in ``z`` (real formulas for real
 ``z`` of either sign, power series near ``z * t^2 = 0``), so propagation is
 analytic in the spectral parameter and works unchanged for complex ``lambda``.
+The per-lambda loops (``characteristic_scaled``, ``interior_zeros``,
+``weighted_norm``) cross constant pieces with this arithmetic inline, in the
+same order of operations as ``TransferMatrix.apply``, so they build no
+objects; ``transfer_across`` and ``TransferMatrix`` are the object API, used
+for tabulated pieces, sub-intervals and :func:`propagate`.
 
 Pieces with tabulated potentials are crossed by fixed fourth-order Magnus
 steps, with step boundaries at the table nodes.  The potential is linear
@@ -200,21 +205,29 @@ def _magnus_steps(piece: Piece, lam: Scalar, x_from: float, x_to: float):
 
     which has determinant 1 and is exact where ``q`` is constant.  Yields
     ``(c, s, h, k2, d, z)`` for every step, in order.
+
+    ``cs_kernels`` bounds the phase of one step only, so the phase bound
+    ``span * sqrt(max |k2|)`` is summed over the segments as well: past
+    ``_PHASE_LIMIT`` the walk raises :class:`NumericalFailure`.
     """
-    w = piece.w
+    lw = lam * piece.w
     stops = [(x_from, piece.q_at(x_from))]
     stops.extend(node for node in piece.q  # type: ignore[union-attr]
                  if x_from < node[0] < x_to)
     stops.append((x_to, piece.q_at(x_to)))
+    phase = 0.0
     for (xa, qa), (xb, qb) in zip(stops, stops[1:]):
         span = xb - xa
         if span <= 0.0:
             continue
+        k2a = lw + qa
+        phase += span * math.sqrt(max(abs(k2a), abs(lw + qb)))
+        if phase > _PHASE_LIMIT:
+            raise _phase_failure(phase)
         slope = (qb - qa) / span
         n = 1 if slope == 0.0 else math.ceil(_MAGNUS_STEPS_PER_UNIT * span)
         h = span / n
         d = h * h * h * slope / 12.0
-        k2a = lam * w + qa
         for j in range(n):
             k2 = k2a + slope * ((j + 0.5) * h)
             z = h * h * k2 - d * d

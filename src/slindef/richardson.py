@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from .coefficients import ProblemSpec
 from .errors import (DriftUndefined, EmptyWindowError, InvalidProblemError,
                      lambda_entry, overflow_failure)
-from .propagator import (_sampled_weighted, initial_state, norm_kernels,
-                         solution_at, transfer_across)
+from .propagator import (_sampled_weighted, cs_kernels, initial_state,
+                         norm_kernels, solution_at)
 from .spectrum import (ScanResult, find_real_eigenvalues, interior_zeros,
                        records_to_csv)
 
@@ -61,9 +61,8 @@ def _piece_weighted(piece, lam: float, y0: float, yp0: float,
         icc, ics, iss = norm_kernels(z, length)
         contrib = piece.w * (y0 * y0 * icc + 2.0 * y0 * yp0 * ics
                              + yp0 * yp0 * iss)
-        t = transfer_across(piece, lam, piece.x0, x_hi)
-        y1, yp1 = t.apply(y0, yp0)
-        return contrib, y1, yp1
+        c, s = cs_kernels(z, length)
+        return contrib, c * y0 + s * yp0, -z * s * y0 + c * yp0
     return _sampled_weighted(piece, lam, y0, yp0, x_hi)
 
 

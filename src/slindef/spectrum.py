@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 from .coefficients import ProblemSpec
 from .errors import (ContourError, InvalidProblemError, NumericalFailure,
                      lambda_entry, overflow_failure)
-from .propagator import StateVector, states_on_grid, transfer_across
+from .propagator import (StateVector, cs_kernels, states_on_grid,
+                         transfer_across)
 
 __all__ = [
     "EigenRecord",
@@ -61,8 +62,15 @@ def characteristic_scaled(spec: ProblemSpec, lam: complex | float
     """
     y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
     scale = max(1.0, abs(y) + abs(yp))
-    for piece in spec.pieces:
-        y, yp = transfer_across(piece, lam).apply(y, yp)
+    for piece in spec.coeff.pieces:
+        if piece.has_constant_q:
+            # piece_transfer's entries through TransferMatrix.apply, unrolled
+            # in the same order so that D matches the object route bit for bit
+            k2 = lam * piece.w + piece.q  # type: ignore[operator]
+            c, s = cs_kernels(k2, piece.x1 - piece.x0)
+            y, yp = c * y + s * yp, -k2 * s * y + c * yp
+        else:
+            y, yp = transfer_across(piece, lam).apply(y, yp)
         scale = max(scale, abs(y) + abs(yp))
     d = y * math.cos(spec.beta) + yp * math.sin(spec.beta)
     if not (scale < math.inf and d == d):
@@ -127,16 +135,15 @@ def interior_zeros(spec: ProblemSpec, lam: float,
         end_band = 1e-6 * (b - a) if spec.beta == 0.0 else snap
     end_band = max(end_band, snap)
     zeros: list[float] = []
-    state = StateVector(a, math.sin(spec.alpha), math.cos(spec.alpha))
-    n_pieces = len(spec.pieces)
-    for pi, piece in enumerate(spec.pieces):
-        last = pi == n_pieces - 1
+    y0, yp0 = math.sin(spec.alpha), math.cos(spec.alpha)
+    pieces = spec.coeff.pieces
+    for pi, piece in enumerate(pieces):
+        last = pi == len(pieces) - 1
         length = piece.length
-        y0, yp0 = state.y, state.yp
         if piece.has_constant_q:
             k2 = lam * piece.w + piece.q  # type: ignore[operator]
-            t_end = transfer_across(piece, lam)
-            y1, yp1 = t_end.apply(y0, yp0)
+            c, s = cs_kernels(k2, length)
+            y1, yp1 = c * y0 + s * yp0, -k2 * s * y0 + c * yp0
             if k2 > 0.0 and math.sqrt(k2) * length > 1e-2:
                 # Oscillatory: y(t) = A sin(k t + phi).
                 k = math.sqrt(k2)
@@ -168,7 +175,7 @@ def interior_zeros(spec: ProblemSpec, lam: float,
                         k = math.sqrt(k2)
                         t_star = math.atan(k * ratio) / k
                     zeros.append(piece.x0 + min(max(t_star, ts), length))
-            state = StateVector(piece.x1, y1, yp1)
+            y0, yp0 = y1, yp1
         else:
             vals = [lam * piece.w + qv for (_, qv) in piece.q]  # type: ignore[union-attr]
             kmax = math.sqrt(max(0.0, max(vals)))
@@ -177,7 +184,8 @@ def interior_zeros(spec: ProblemSpec, lam: float,
                 raise NumericalFailure(
                     f"sign tracking would need {n} cells on a tabulated piece "
                     f"at lambda={lam!r}")
-            grid = states_on_grid(piece, lam, state, n)
+            grid = states_on_grid(piece, lam, StateVector(piece.x0, y0, yp0),
+                                  n)
             for s_prev, s_next in zip(grid, grid[1:]):
                 ya, yb = s_prev.y, s_next.y
                 if ya == 0.0:
@@ -199,8 +207,8 @@ def interior_zeros(spec: ProblemSpec, lam: float,
             end_state = grid[-1]
             if end_state.y == 0.0 and not last:
                 zeros.append(end_state.x)
-            state = StateVector(piece.x1, end_state.y, end_state.yp)
-    if not (abs(state.y) + abs(state.yp) < math.inf):
+            y0, yp0 = end_state.y, end_state.yp
+    if not (abs(y0) + abs(yp0) < math.inf):
         raise overflow_failure(lam)
     zeros.sort()
     out: list[float] = []

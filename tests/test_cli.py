@@ -194,6 +194,17 @@ def test_scan_past_phase_precision_exit_3(capsys, tmp_path):
     assert "phase" in err and "Traceback" not in err
 
 
+def test_scan_tabulated_past_phase_precision_exit_3(capsys, tmp_path):
+    # each Magnus step's phase is far below the limit, the total is not
+    path = tmp_path / "tabulated.json"
+    save_problem(ProblemSpec(PiecewiseCoefficient(
+        (Piece(0.0, 1.0, 1.0, ((0.0, -3.0), (1.0, 2.0))),))), path)
+    rc, out, err = run(capsys, "scan", str(path), "--window", "1e31", "2e31")
+    assert rc == 3
+    assert out == ""
+    assert "phase" in err and "Traceback" not in err
+
+
 def test_drift_missing_zero_exit_3(capsys, one_tp_file):
     rc, _, _ = run(capsys, "drift", one_tp_file,
                    "--lam", str(math.pi ** 2), "--zero-index", "5")

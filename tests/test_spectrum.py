@@ -29,13 +29,14 @@ from slindef import (
     two_turning_point,
     weighted_norm,
 )
-from slindef import spectrum
+from slindef import propagator, spectrum
 from slindef.propagator import solution_at, transfer_across
 from slindef.richardson import weighted_partial
 from slindef.spectrum import (_empirical_indices, _refine_bracket,
                               _thread_count, characteristic_scaled)
 
-from oracles import dense_zero_count, ivp_characteristic
+from oracles import (chained_characteristic, chained_weighted_norm,
+                     dense_zero_count, ivp_characteristic)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -84,6 +85,67 @@ class TestCharacteristic:
         d = characteristic(one_tp_p13, z)
         d_conj = characteristic(one_tp_p13, z.conjugate())
         assert d_conj == pytest.approx(d.conjugate(), rel=1e-14)
+
+
+@st.composite
+def mixed_problems(draw):
+    """1-4 pieces of either weight sign, each with a constant or a 2-3-node
+    tabulated potential, and random boundary angles."""
+    x = draw(st.floats(min_value=-1.0, max_value=1.0))
+    pieces = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        x1 = x + draw(st.floats(min_value=0.2, max_value=1.0))
+        w = draw(st.sampled_from((-1.0, 1.0))) * draw(
+            st.floats(min_value=0.2, max_value=3.0))
+        qs = draw(st.lists(st.floats(min_value=-20.0, max_value=20.0),
+                           min_size=1, max_size=3))
+        if len(qs) == 1:
+            q = qs[0]
+        else:
+            xs = [x, x1] if len(qs) == 2 else [x, 0.5 * (x + x1), x1]
+            q = tuple(zip(xs, qs))
+        pieces.append(Piece(x, x1, w, q))
+        x = x1
+    angle = st.floats(min_value=0.0, max_value=3.1)
+    return ProblemSpec(PiecewiseCoefficient(tuple(pieces)), draw(angle),
+                       draw(angle))
+
+
+class TestInlineStep:
+    """The per-lambda loops cross constant pieces without building a
+    ``TransferMatrix``; their outputs must not move by a single bit."""
+
+    @given(mixed_problems(), st.floats(min_value=-300.0, max_value=300.0),
+           st.floats(min_value=-30.0, max_value=30.0))
+    def test_equals_transfer_matrix_chain(self, spec, lam, im):
+        assert characteristic_scaled(spec, lam) == chained_characteristic(
+            spec, lam)
+        z = complex(lam, im)
+        assert characteristic_scaled(spec, z) == chained_characteristic(
+            spec, z)
+        assert weighted_norm(spec, lam) == chained_weighted_norm(spec, lam)
+
+    def test_constant_pieces_make_no_transfer_call(self, monkeypatch,
+                                                   one_tp_m10, app_spec):
+        calls = []
+
+        def counted(piece, lam, *rest):
+            calls.append(piece)
+            return transfer_across(piece, lam, *rest)
+
+        monkeypatch.setattr(spectrum, "transfer_across", counted)
+        monkeypatch.setattr(propagator, "transfer_across", counted)
+        tab = Piece(0.0, 1.0, 1.0, ((0.0, -3.0), (1.0, 2.0)))
+        characteristic_scaled(ProblemSpec(PiecewiseCoefficient((tab,))), 17.0)
+        assert calls == [tab]   # the counter sees the tabulated route
+        calls.clear()
+        for spec in (one_tp_m10, app_spec):
+            assert all(p.has_constant_q for p in spec.pieces)
+            for lam in (-40.0, 0.0, 17.5, 230.0):
+                characteristic_scaled(spec, lam)
+                count_zeros(spec, lam)
+            characteristic_scaled(spec, complex(5.0, 2.0))
+        assert calls == []
 
 
 # --------------------------------------------------------------------------
@@ -474,6 +536,19 @@ class TestLambdaRange:
                 characteristic(classical_spec, lam)
         with pytest.raises(NumericalFailure, match="phase"):
             count_zeros(classical_spec, 1e300)
+
+    def test_tabulated_phase_past_double_precision_is_numerical_failure(
+            self):
+        # the total phase across the table is about sqrt(lambda), while each
+        # of the 512 Magnus steps sees 1/512 of it
+        tab = Piece(0.0, 1.0, 1.0, ((0.0, -3.0), (1.0, 2.0)))
+        spec = ProblemSpec(PiecewiseCoefficient((tab,)))
+        assert math.isfinite(characteristic(spec, 1e28))
+        for lam in (1e31, complex(1e31, 1.0)):
+            with pytest.raises(NumericalFailure, match="phase"):
+                characteristic(spec, lam)
+        with pytest.raises(NumericalFailure, match="phase"):
+            weighted_norm(spec, 1e31)
 
     def test_unresolvable_sign_tracking_is_numerical_failure(self):
         tab = Piece(0.0, 1.0, 1.0, ((0.0, -3.0), (1.0, 2.0)))
