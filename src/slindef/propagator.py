@@ -9,8 +9,8 @@ evaluated with ``z = k2``.  Both are entire in ``z`` (real formulas for real
 ``z`` of either sign, power series near ``z * t^2 = 0``), so propagation is
 analytic in the spectral parameter and works unchanged for complex ``lambda``.
 The per-lambda loops (``characteristic_scaled``, ``interior_zeros``,
-``weighted_norm``) cross constant pieces with this arithmetic inline, in the
-same order of operations as ``TransferMatrix.apply``, so they build no
+:func:`weighted_norm`) cross constant pieces with this arithmetic inline, in
+the same order of operations as ``TransferMatrix.apply``, so they build no
 objects; ``transfer_across`` and ``TransferMatrix`` are the object API, used
 for tabulated pieces, sub-intervals and :func:`propagate`.
 
@@ -21,7 +21,9 @@ comes from the same kernels: it has unit determinant, it is exact where the
 potential is flat, and its error falls as ``h^4`` without growing with
 ``|lambda|`` (Iserles, BIT 2002).  The steps carry their lambda-derivative in
 closed form, which gives weighted norms on tabulated pieces through the
-Lagrange identity.
+Lagrange identity, and within a step the solution is ``exp(tau Omega)``
+applied to the step's start state, so its zeros have the closed form of a
+constant piece.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ __all__ = [
     "propagate",
     "solution_at",
     "initial_state",
+    "weighted_norm",
+    "weighted_partial",
 ]
 
 Scalar = complex | float
@@ -204,7 +208,8 @@ def _magnus_steps(piece: Piece, lam: Scalar, x_from: float, x_to: float):
         exp(Omega) = C(z, 1) I + S(z, 1) Omega,
 
     which has determinant 1 and is exact where ``q`` is constant.  Yields
-    ``(c, s, h, k2, d, z)`` for every step, in order.
+    ``(c, s, h, k2, d, z, x)`` for every step, in order, where ``x`` is the
+    step's start.
 
     ``cs_kernels`` bounds the phase of one step only, so the phase bound
     ``span * sqrt(max |k2|)`` is summed over the segments as well: past
@@ -232,14 +237,14 @@ def _magnus_steps(piece: Piece, lam: Scalar, x_from: float, x_to: float):
             k2 = k2a + slope * ((j + 0.5) * h)
             z = h * h * k2 - d * d
             c, s = cs_kernels(z, 1.0)
-            yield c, s, h, k2, d, z
+            yield c, s, h, k2, d, z, xa + j * h
 
 
 def _sampled_transfer(piece: Piece, lam: Scalar, x_from: float,
                       x_to: float) -> TransferMatrix:
     """Transfer across ``[x_from, x_to]`` inside a tabulated piece."""
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
-    for c, s, h, k2, d, _ in _magnus_steps(piece, lam, x_from, x_to):
+    for c, s, h, k2, d, _, _ in _magnus_steps(piece, lam, x_from, x_to):
         e11, e12, e21, e22 = c + s * d, s * h, -s * h * k2, c - s * d
         m11, m12, m21, m22 = (e11 * m11 + e12 * m21, e11 * m12 + e12 * m22,
                               e21 * m11 + e22 * m21, e21 * m12 + e22 * m22)
@@ -267,7 +272,7 @@ def _sampled_weighted(piece: Piece, lam: float, y0: float, yp0: float,
     """
     w = piece.w
     y, yp, u, up = y0, yp0, 0.0, 0.0
-    for c, s, h, k2, d, z in _magnus_steps(piece, lam, piece.x0, x_to):
+    for c, s, h, k2, d, z, _ in _magnus_steps(piece, lam, piece.x0, x_to):
         e11, e12, e21, e22 = c + s * d, s * h, -s * h * k2, c - s * d
         dz = h * h * w
         dc = -0.5 * s * dz
@@ -348,8 +353,8 @@ def solution_at(spec: ProblemSpec, lam: Scalar,
 def states_on_grid(piece: Piece, lam: Scalar, start: StateVector,
                    n: int) -> list[StateVector]:
     """States at ``n + 1`` equally spaced points across one piece, starting
-    from ``start`` at ``piece.x0``.  Used for sign-tracking on pieces where
-    no closed-form zero count is available."""
+    from ``start`` at ``piece.x0``.  ``certificates.disconjugate_on`` reads
+    the sign of the solution on this grid."""
     if n < 1:
         raise InvalidProblemError("grid needs at least one interval")
     out = [StateVector(piece.x0, start.y, start.yp)]
@@ -363,3 +368,61 @@ def states_on_grid(piece: Piece, lam: Scalar, start: StateVector,
         out.append(StateVector(xj, y, yp))
         prev = xj
     return out
+
+
+# ---------------------------------------------------------------------------
+# Weighted norms
+# ---------------------------------------------------------------------------
+
+def _require_real(lam: complex | float, what: str) -> float:
+    if isinstance(lam, complex):
+        if lam.imag != 0.0:
+            raise InvalidProblemError(f"{what} requires a real lambda")
+        return lam.real
+    return float(lam)
+
+
+def _piece_weighted(piece: Piece, lam: float, y0: float, yp0: float,
+                    x_hi: float) -> tuple[float, float, float]:
+    """``(contribution, y_end, yp_end)`` of ``int w y^2`` over the piece,
+    clipped to ``[x0, x_hi]``."""
+    length = x_hi - piece.x0
+    if length <= 0.0:
+        return 0.0, y0, yp0
+    if piece.has_constant_q:
+        z = lam * piece.w + piece.q  # type: ignore[operator]
+        icc, ics, iss = norm_kernels(z, length)
+        contrib = piece.w * (y0 * y0 * icc + 2.0 * y0 * yp0 * ics
+                             + yp0 * yp0 * iss)
+        c, s = cs_kernels(z, length)
+        return contrib, c * y0 + s * yp0, -z * s * y0 + c * yp0
+    return _sampled_weighted(piece, lam, y0, yp0, x_hi)
+
+
+@lambda_entry
+def weighted_norm(spec: ProblemSpec, lam: complex | float) -> float:
+    """``int_a^b w(x) y(x, lambda)^2 dx`` for the left solution at real
+    ``lambda``.  Constant-potential pieces use closed-form kernel integrals
+    (entire in ``lambda``); tabulated pieces use the Lagrange identity on
+    the lambda-derivative their Magnus steps carry."""
+    return weighted_partial(spec, _require_real(lam, "weighted_norm"), spec.b)
+
+
+@lambda_entry
+def weighted_partial(spec: ProblemSpec, lam: float, x_hi: float) -> float:
+    """``int_a^{x_hi} w y^2 dx`` for the left solution."""
+    lam = _require_real(lam, "weighted_partial")
+    if not (spec.a <= x_hi <= spec.b):
+        raise InvalidProblemError(
+            f"x_hi={x_hi!r} outside the interval [{spec.a!r}, {spec.b!r}]")
+    y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
+    total = 0.0
+    for piece in spec.pieces:
+        if piece.x0 >= x_hi:
+            break
+        contrib, y, yp = _piece_weighted(piece, lam, y, yp,
+                                         min(piece.x1, x_hi))
+        total += contrib
+    if not (abs(total) < math.inf):
+        raise overflow_failure(lam)
+    return total

@@ -1,5 +1,6 @@
-"""Weighted norms, spectral asymmetry thresholds, and eigenfunction zero
-drift.
+"""Spectral asymmetry thresholds from weighted norms, and eigenfunction
+zero drift.  ``weighted_norm`` and ``weighted_partial`` live in
+:mod:`slindef.propagator` and are re-exported here.
 
 For a real eigenvalue ``lambda`` with eigenfunction ``y`` the signed quantity
 ``int_a^b w y^2 dx`` classifies the eigenvalue as positive, negative, or
@@ -18,14 +19,12 @@ otherwise the entry is ``None``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .coefficients import ProblemSpec
-from .errors import (DriftUndefined, EmptyWindowError, InvalidProblemError,
-                     lambda_entry, overflow_failure)
-from .propagator import (_sampled_weighted, cs_kernels, initial_state,
-                         norm_kernels, solution_at)
+from .errors import DriftUndefined, EmptyWindowError, InvalidProblemError
+from .propagator import (_require_real, solution_at, weighted_norm,
+                         weighted_partial)
 from .spectrum import (ScanResult, find_real_eigenvalues, interior_zeros,
                        records_to_csv)
 
@@ -38,71 +37,6 @@ __all__ = [
     "report_to_json",
     "report_to_csv",
 ]
-
-
-def _require_real(lam: complex | float, what: str) -> float:
-    if isinstance(lam, complex):
-        if lam.imag != 0.0:
-            raise InvalidProblemError(f"{what} requires a real lambda")
-        return lam.real
-    return float(lam)
-
-
-def _piece_weighted(piece, lam: float, y0: float, yp0: float,
-                    x_hi: float | None = None) -> tuple[float, float, float]:
-    """``(contribution, y_end, yp_end)`` of ``int w y^2`` over the piece,
-    optionally clipped to ``[x0, x_hi]``."""
-    x_hi = piece.x1 if x_hi is None else x_hi
-    length = x_hi - piece.x0
-    if length <= 0.0:
-        return 0.0, y0, yp0
-    if piece.has_constant_q:
-        z = lam * piece.w + piece.q
-        icc, ics, iss = norm_kernels(z, length)
-        contrib = piece.w * (y0 * y0 * icc + 2.0 * y0 * yp0 * ics
-                             + yp0 * yp0 * iss)
-        c, s = cs_kernels(z, length)
-        return contrib, c * y0 + s * yp0, -z * s * y0 + c * yp0
-    return _sampled_weighted(piece, lam, y0, yp0, x_hi)
-
-
-@lambda_entry
-def weighted_norm(spec: ProblemSpec, lam: complex | float) -> float:
-    """``int_a^b w(x) y(x, lambda)^2 dx`` for the left solution at real
-    ``lambda``.  Constant-potential pieces use closed-form kernel integrals
-    (entire in ``lambda``); tabulated pieces use the Lagrange identity on
-    the lambda-derivative their Magnus steps carry."""
-    lam = _require_real(lam, "weighted_norm")
-    state = initial_state(spec)
-    y, yp = state.y, state.yp
-    total = 0.0
-    for piece in spec.pieces:
-        contrib, y, yp = _piece_weighted(piece, lam, y, yp)
-        total += contrib
-    if not (abs(total) < math.inf):
-        raise overflow_failure(lam)
-    return total
-
-
-@lambda_entry
-def weighted_partial(spec: ProblemSpec, lam: float, x_hi: float) -> float:
-    """``int_a^{x_hi} w y^2 dx`` for the left solution."""
-    lam = _require_real(lam, "weighted_partial")
-    if not (spec.a <= x_hi <= spec.b):
-        raise InvalidProblemError(
-            f"x_hi={x_hi!r} outside the interval [{spec.a!r}, {spec.b!r}]")
-    state = initial_state(spec)
-    y, yp = state.y, state.yp
-    total = 0.0
-    for piece in spec.pieces:
-        if piece.x0 >= x_hi:
-            break
-        clip = min(piece.x1, x_hi)
-        contrib, y, yp = _piece_weighted(piece, lam, y, yp, clip)
-        total += contrib
-    if not (abs(total) < math.inf):
-        raise overflow_failure(lam)
-    return total
 
 
 @dataclass(frozen=True)

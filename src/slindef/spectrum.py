@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 from .coefficients import ProblemSpec
 from .errors import (ContourError, InvalidProblemError, NumericalFailure,
                      lambda_entry, overflow_failure)
-from .propagator import (StateVector, cs_kernels, states_on_grid,
-                         transfer_across)
+from .propagator import (_magnus_steps, cs_kernels, transfer_across,
+                         weighted_norm)
 
 __all__ = [
     "EigenRecord",
@@ -104,17 +104,63 @@ def _bisect_zero(f: Callable[[float], float], t0: float, t1: float,
     return 0.5 * (t0 + t1)
 
 
+def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
+                   v: float, y1: float, x0: float, unit: float, snap: float,
+                   last: bool) -> None:
+    """Append the zeros of ``y(t) = C(k2, t) y0 + S(k2, t) v`` on
+    ``(0, length]``, whose end value is ``y1``, at ``x0 + unit * t``.
+
+    ``snap`` is in units of ``t``: a zero within it of ``t = 0`` belongs to
+    the stretch before, and with ``last`` the stretch ends at ``b``, whose
+    zero is the boundary condition's.
+    """
+    if k2 > 0.0 and math.sqrt(k2) * length > 1e-2:
+        # Oscillatory: y(t) = A sin(k t + phi).
+        k = math.sqrt(k2)
+        phi = math.atan2(y0, v / k)
+        s_hi = length - snap if last else length
+        m_lo = math.floor((phi + k * snap) / math.pi) + 1
+        m_hi = math.floor((phi + k * s_hi) / math.pi)
+        for m in range(m_lo, m_hi + 1):
+            zeros.append(x0 + unit * ((m * math.pi - phi) / k))
+        return
+    # At most one zero on the stretch, where C(k2, t) y0 + S(k2, t) v = 0
+    # in closed form.
+    if y0 == 0.0:
+        ys, ts = math.copysign(1.0, v), snap
+    else:
+        ys, ts = y0, 0.0
+    if y1 == 0.0:
+        if not last:
+            zeros.append(x0 + unit * length)
+    elif (ys < 0.0) != (y1 < 0.0):
+        ratio = -y0 / v
+        if k2 < 0.0:
+            kappa = math.sqrt(-k2)
+            r = kappa * ratio
+            t_star = math.atanh(r) / kappa if r < 1.0 else length
+        elif k2 == 0.0:
+            t_star = ratio
+        else:
+            k = math.sqrt(k2)
+            t_star = math.atan(k * ratio) / k
+        zeros.append(x0 + unit * min(max(t_star, ts), length))
+
+
 @lambda_entry
 def interior_zeros(spec: ProblemSpec, lam: float,
                    end_band: float | None = None) -> list[float]:
     """Locations of zeros of the left solution strictly inside ``(a, b)``.
 
-    ``lam`` must be real; on pieces where ``lambda*w + q`` is a positive
-    constant the zeros come from the phase representation in closed form.
-    On the remaining constant pieces the solution has at most one zero: the
-    signs at the piece ends decide whether it is there, and an ``atanh``,
-    linear or ``atan`` formula places it.  Tabulated pieces fall back to sign
-    tracking on a wavelength-resolving grid.
+    ``lam`` must be real.  Every stretch of the walk has constant
+    coefficients: a constant piece, or one Magnus step of a tabulated piece,
+    whose flow ``exp(tau Omega)`` with ``Omega^2 = -z I`` carries the step's
+    start state ``(y0, y0')`` to ``C(z, tau) y0 + S(z, tau) (d y0 + h y0')``
+    for ``tau`` in ``[0, 1]``.  One routine places the zeros of all of
+    them: where ``k2`` (or ``z``) is positive and the stretch oscillates,
+    from the phase representation; elsewhere the solution has at most one
+    zero on the stretch, the signs at its ends decide whether it is there,
+    and an ``atanh``, linear or ``atan`` formula places it.
 
     ``end_band`` is the exclusion half-width next to ``x = b``.  For
     Dirichlet conditions at ``b`` it defaults to ``1e-6 * (b - a)``: at an
@@ -138,76 +184,24 @@ def interior_zeros(spec: ProblemSpec, lam: float,
     y0, yp0 = math.sin(spec.alpha), math.cos(spec.alpha)
     pieces = spec.coeff.pieces
     for pi, piece in enumerate(pieces):
-        last = pi == len(pieces) - 1
-        length = piece.length
         if piece.has_constant_q:
             k2 = lam * piece.w + piece.q  # type: ignore[operator]
+            length = piece.length
             c, s = cs_kernels(k2, length)
             y1, yp1 = c * y0 + s * yp0, -k2 * s * y0 + c * yp0
-            if k2 > 0.0 and math.sqrt(k2) * length > 1e-2:
-                # Oscillatory: y(t) = A sin(k t + phi).
-                k = math.sqrt(k2)
-                phi = math.atan2(y0, yp0 / k)
-                s_hi = length - snap if last else length
-                m_lo = math.floor((phi + k * snap) / math.pi) + 1
-                m_hi = math.floor((phi + k * s_hi) / math.pi)
-                for m in range(m_lo, m_hi + 1):
-                    zeros.append(piece.x0 + (m * math.pi - phi) / k)
-            else:
-                # At most one zero on the piece, where
-                # C(k2, t) y0 + S(k2, t) y0' = 0 in closed form.
-                if y0 == 0.0:
-                    ys, ts = math.copysign(1.0, yp0), snap
-                else:
-                    ys, ts = y0, 0.0
-                if y1 == 0.0:
-                    if not last:
-                        zeros.append(piece.x1)
-                elif (ys < 0.0) != (y1 < 0.0):
-                    ratio = -y0 / yp0
-                    if k2 < 0.0:
-                        kappa = math.sqrt(-k2)
-                        r = kappa * ratio
-                        t_star = math.atanh(r) / kappa if r < 1.0 else length
-                    elif k2 == 0.0:
-                        t_star = ratio
-                    else:
-                        k = math.sqrt(k2)
-                        t_star = math.atan(k * ratio) / k
-                    zeros.append(piece.x0 + min(max(t_star, ts), length))
+            _stretch_zeros(zeros, k2, length, y0, yp0, y1, piece.x0, 1.0,
+                           snap, pi == len(pieces) - 1)
             y0, yp0 = y1, yp1
-        else:
-            vals = [lam * piece.w + qv for (_, qv) in piece.q]  # type: ignore[union-attr]
-            kmax = math.sqrt(max(0.0, max(vals)))
-            n = max(32, math.ceil(4.0 * kmax * length / math.pi))
-            if n > 200_000:
-                raise NumericalFailure(
-                    f"sign tracking would need {n} cells on a tabulated piece "
-                    f"at lambda={lam!r}")
-            grid = states_on_grid(piece, lam, StateVector(piece.x0, y0, yp0),
-                                  n)
-            for s_prev, s_next in zip(grid, grid[1:]):
-                ya, yb = s_prev.y, s_next.y
-                if ya == 0.0:
-                    if s_prev.x > a + snap:
-                        zeros.append(s_prev.x)
-                    continue
-                if yb == 0.0:
-                    continue  # handled as the next cell's left endpoint
-                if (ya < 0.0) != (yb < 0.0):
-                    base = s_prev
-
-                    def yseg(t: float, base: StateVector = base) -> float:
-                        tt = transfer_across(piece, lam, base.x, base.x + t)
-                        return tt.apply(base.y, base.yp)[0]
-
-                    t_star = _bisect_zero(yseg, 0.0, s_next.x - s_prev.x,
-                                          ya, yb, 1e-13 * max(1.0, b - a))
-                    zeros.append(s_prev.x + t_star)
-            end_state = grid[-1]
-            if end_state.y == 0.0 and not last:
-                zeros.append(end_state.x)
-            y0, yp0 = end_state.y, end_state.yp
+            continue
+        # no step is flagged last: a zero a step puts at b lies in the end
+        # band dropped below
+        for c, s, h, k2, d, z, x in _magnus_steps(piece, lam, piece.x0,
+                                                  piece.x1):
+            y1, yp1 = ((c + s * d) * y0 + s * h * yp0,
+                       -s * h * k2 * y0 + (c - s * d) * yp0)
+            _stretch_zeros(zeros, z, 1.0, y0, d * y0 + h * yp0, y1, x, h,
+                           snap, False)
+            y0, yp0 = y1, yp1
     if not (abs(y0) + abs(yp0) < math.inf):
         raise overflow_failure(lam)
     zeros.sort()
@@ -589,8 +583,6 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
 
     roots = _merge_roots(raw_roots, tol)
 
-    from .richardson import weighted_norm  # local import to avoid a cycle
-
     records = []
     warnings: list[str] = []
     for r in roots:
@@ -921,8 +913,6 @@ def find_complex_eigenvalues(spec: ProblemSpec,
     else:
         final.extend(uppers)
         final.extend(lowers)
-
-    from .richardson import weighted_norm  # local import to avoid a cycle
 
     records = []
     seen: set[tuple[float, float]] = set()

@@ -1,0 +1,33 @@
+"""Import layout of the package: modules import each other at the top of a
+file only, so the import graph has no cycle hidden inside a function."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "slindef"
+
+
+def function_local_package_imports(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0
+                    or (node.module or "").split(".")[0] == "slindef"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] == "slindef"
+                    for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_package_import_inside_a_function():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 7
+    found = [hit for path in paths for hit in function_local_package_imports(path)]
+    # stdlib imports inside functions (concurrent.futures) stay allowed
+    assert found == []

@@ -236,6 +236,46 @@ class TestZeroCounting:
                 0.5 * (lo + hi), abs=1e-12 * (spec.b - spec.a) + blur / slope)
 
 
+@st.composite
+def tabulated_problems(draw):
+    """Two unit pieces of either weight sign, one of them with a 3-6-node
+    table, and a random boundary angle at a."""
+    inner = draw(st.lists(st.floats(min_value=0.05, max_value=0.95),
+                          min_size=1, max_size=4, unique=True))
+    qs = draw(st.lists(st.floats(min_value=-10.0, max_value=30.0),
+                       min_size=len(inner) + 2, max_size=len(inner) + 2))
+    tabulated = draw(st.sampled_from((0, 1)))
+    pieces = []
+    for i in range(2):
+        w = draw(st.sampled_from((-1.0, 1.0))) * draw(
+            st.floats(min_value=0.2, max_value=3.0))
+        if i == tabulated:
+            q = tuple(zip([i, *(i + t for t in sorted(inner)), i + 1.0], qs))
+        else:
+            q = draw(st.floats(min_value=-10.0, max_value=30.0))
+        pieces.append(Piece(float(i), i + 1.0, w, q))
+    return ProblemSpec(PiecewiseCoefficient(tuple(pieces)),
+                       alpha=draw(st.floats(min_value=0.0, max_value=3.1)))
+
+
+class TestTabulatedZeros:
+    """Zeros on tabulated pieces come from the closed form of each Magnus
+    step's flow, with no sign-tracking grid."""
+
+    @given(tabulated_problems(),
+           st.floats(min_value=-500.0, max_value=1e3))
+    def test_count_and_sign_changes(self, spec, lam):
+        zeros = interior_zeros(spec, lam)
+        # the oracle leaves out a 1e-6 band at each end, as interior_zeros
+        # does at b for Dirichlet data
+        band = 1e-6 * (spec.b - spec.a)
+        assert len([z for z in zeros if z > spec.a + band]) == \
+            dense_zero_count(spec, lam)
+        for z in zeros:
+            lo, hi = solution_at(spec, lam, [z - 1e-9, z + 1e-9])
+            assert (lo.y < 0.0) != (hi.y < 0.0), z
+
+
 # --------------------------------------------------------------------------
 # Real-window scans
 # --------------------------------------------------------------------------
@@ -550,11 +590,28 @@ class TestLambdaRange:
         with pytest.raises(NumericalFailure, match="phase"):
             weighted_norm(spec, 1e31)
 
-    def test_unresolvable_sign_tracking_is_numerical_failure(self):
+    def test_tabulated_count_at_high_lambda(self):
+        # Dirichlet data at a: the count is floor(int sqrt(lam + q) dx / pi)
+        # while the WKB correction stays far below the fractional part.  With
+        # A = lam + 2 and B = lam - 3 the integral is
+        # (2/15) (A^1.5 - B^1.5) = (2/3) (A^2 + AB + B^2) / (A^1.5 + B^1.5),
+        # which does not cancel.
         tab = Piece(0.0, 1.0, 1.0, ((0.0, -3.0), (1.0, 2.0)))
         spec = ProblemSpec(PiecewiseCoefficient((tab,)))
-        with pytest.raises(NumericalFailure):
-            count_zeros(spec, 1e12)
+        lam = 1e12
+        big, small = lam + 2.0, lam - 3.0
+        phase = (2.0 / 3.0) * (big * big + big * small + small * small) / (
+            big ** 1.5 + small ** 1.5)
+        assert math.floor(phase / math.pi) == 318_309
+        assert count_zeros(spec, lam) == 318_309
+
+    @pytest.mark.parametrize("lam", [1e3, 1e8, 1e12])
+    def test_flat_table_zeros_equal_constant_piece(self, lam):
+        flat = Piece(0.0, 1.0, 1.0, ((0.0, 0.7), (1.0, 0.7)))
+        const = Piece(0.0, 1.0, 1.0, 0.7)
+        assert interior_zeros(ProblemSpec(PiecewiseCoefficient((flat,))),
+                              lam) == interior_zeros(
+            ProblemSpec(PiecewiseCoefficient((const,))), lam)
 
 
 class TestThreadCount:
