@@ -86,7 +86,9 @@ def _normalize_q(q: object, x0: float, x1: float) -> QSpec:
 
 @dataclass(frozen=True)
 class Piece:
-    """One coefficient piece: constant weight, constant or sampled potential."""
+    """One coefficient piece: constant weight, constant or sampled potential.
+    ``constant`` is ``(w, q, x0, x1)`` for a constant ``q``, else ``None``:
+    the per-lambda loops read that one attribute per piece."""
 
     x0: float
     x1: float
@@ -101,6 +103,9 @@ class Piece:
                  f"piece must have positive length: [{self.x0!r}, {self.x1!r}]")
         _require(self.w != 0.0, "piece weight must be nonzero")
         object.__setattr__(self, "q", _normalize_q(self.q, self.x0, self.x1))
+        object.__setattr__(
+            self, "constant", (self.w, self.q, self.x0, self.x1)
+            if isinstance(self.q, float) else None)
 
     @property
     def length(self) -> float:

@@ -8,22 +8,19 @@ the entire-function kernels
 evaluated with ``z = k2``.  Both are entire in ``z`` (real formulas for real
 ``z`` of either sign, power series near ``z * t^2 = 0``), so propagation is
 analytic in the spectral parameter and works unchanged for complex ``lambda``.
-The per-lambda loops (``characteristic_scaled``, ``interior_zeros``,
-:func:`weighted_norm`) cross constant pieces with this arithmetic inline, in
-the same order of operations as ``TransferMatrix.apply``, so they build no
-objects; ``transfer_across`` and ``TransferMatrix`` are the object API, used
-for tabulated pieces, sub-intervals and :func:`propagate`.
 
 Pieces with tabulated potentials are crossed by fixed fourth-order Magnus
 steps, with step boundaries at the table nodes.  The potential is linear
 between nodes, so each step is the exponential of a traceless 2x2 matrix and
 comes from the same kernels: it has unit determinant, it is exact where the
 potential is flat, and its error falls as ``h^4`` without growing with
-``|lambda|`` (Iserles, BIT 2002).  The steps carry their lambda-derivative in
-closed form, which gives weighted norms on tabulated pieces through the
-Lagrange identity, and within a step the solution is ``exp(tau Omega)``
-applied to the step's start state, so its zeros have the closed form of a
-constant piece.
+``|lambda|`` (Iserles, BIT 2002).
+
+:func:`stretches` is the one place that knows how a piece is crossed: a
+constant piece is one stretch, a tabulated piece its Magnus steps, each a
+flow ``C(z, tau) I + S(z, tau) Omega``.  Zero counts, weighted norms and
+transfer matrices are folds over it; only ``characteristic_scaled``, the
+hottest loop, crosses constant pieces with the same arithmetic inline.
 """
 
 from __future__ import annotations
@@ -45,6 +42,7 @@ __all__ = [
     "piece_transfer",
     "propagate",
     "solution_at",
+    "stretches",
     "initial_state",
     "weighted_norm",
     "weighted_partial",
@@ -104,9 +102,14 @@ def norm_kernels(z: Scalar, t: float) -> tuple[Scalar, Scalar, Scalar]:
     All three are entire in ``z``; ``Iss`` switches to its power series when
     the closed form ``(t - S(z, 2t)/2) / (2 z)`` would cancel.
     """
+    return _norm_integrals(z, t, cs_kernels(z, t)[1])
+
+
+def _norm_integrals(z: Scalar, t: float,
+                    s1: Scalar) -> tuple[Scalar, Scalar, Scalar]:
+    """:func:`norm_kernels` with ``s1 = S(z, t)``, which a stretch carries."""
     _, s2 = cs_kernels(z, 2.0 * t)
     icc = 0.5 * t + 0.25 * s2
-    _, s1 = cs_kernels(z, t)
     ics = 0.5 * s1 * s1
     u = z * (2.0 * t) * (2.0 * t)
     if abs(u) < 1e-3:
@@ -174,10 +177,6 @@ class TransferMatrix:
             other.x0, self.x1)
 
 
-def identity_transfer(x: float) -> TransferMatrix:
-    return TransferMatrix(1.0, 0.0, 0.0, 1.0, x, x)
-
-
 def piece_transfer(k2: Scalar, length: float,
                    x0: float = 0.0) -> TransferMatrix:
     """Transfer matrix across a constant-coefficient stretch of ``length``."""
@@ -188,13 +187,36 @@ def piece_transfer(k2: Scalar, length: float,
 
 
 # ---------------------------------------------------------------------------
-# Fourth-order Magnus steps for tabulated potentials
+# Stretches: the one way a piece is crossed
 # ---------------------------------------------------------------------------
 
 # Steps per unit length on table segments where q has a slope.  A flat
 # segment is crossed exactly in one step.  The count does not depend on
 # lambda: the Magnus error does not grow with it.
 _MAGNUS_STEPS_PER_UNIT = 512
+
+
+def stretches(piece: Piece, lam: Scalar, x_from: float, x_to: float):
+    """The constant-coefficient stretches crossing ``[x_from, x_to]`` inside
+    ``piece``, in order, each ``(e11, e12, e21, e22, c, s, h, k2, d, z, x,
+    length)``.  With ``Omega = [[d, h], [-h*k2, -d]]``, ``Omega^2 = -z I``,
+    the solution at ``x + h*tau``, ``tau`` in ``[0, length]``, is
+
+        y = C(z, tau) y0 + S(z, tau) (d y0 + h y0'),
+
+    ``(c, s) = (C(z, length), S(z, length))`` and ``e = c I + s Omega``
+    carries the start state to the end.  A constant piece is one stretch,
+    ``h = 1``, ``d = 0``, ``z = k2``, in a one-element tuple; a tabulated
+    piece is its :func:`_magnus_steps`.
+    """
+    const = piece.constant
+    if const is None:
+        return _magnus_steps(piece, lam, x_from, x_to)
+    w, q, _, _ = const
+    k2 = lam * w + q
+    length = x_to - x_from
+    c, s = cs_kernels(k2, length)
+    return ((c, s, -k2 * s, c, c, s, 1.0, k2, 0.0, k2, x_from, length),)
 
 
 def _magnus_steps(piece: Piece, lam: Scalar, x_from: float, x_to: float):
@@ -208,8 +230,7 @@ def _magnus_steps(piece: Piece, lam: Scalar, x_from: float, x_to: float):
         exp(Omega) = C(z, 1) I + S(z, 1) Omega,
 
     which has determinant 1 and is exact where ``q`` is constant.  Yields
-    ``(c, s, h, k2, d, z, x)`` for every step, in order, where ``x`` is the
-    step's start.
+    every step as a stretch of :func:`stretches` with ``length = 1``.
 
     ``cs_kernels`` bounds the phase of one step only, so the phase bound
     ``span * sqrt(max |k2|)`` is summed over the segments as well: past
@@ -237,67 +258,28 @@ def _magnus_steps(piece: Piece, lam: Scalar, x_from: float, x_to: float):
             k2 = k2a + slope * ((j + 0.5) * h)
             z = h * h * k2 - d * d
             c, s = cs_kernels(z, 1.0)
-            yield c, s, h, k2, d, z, xa + j * h
-
-
-def _sampled_transfer(piece: Piece, lam: Scalar, x_from: float,
-                      x_to: float) -> TransferMatrix:
-    """Transfer across ``[x_from, x_to]`` inside a tabulated piece."""
-    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
-    for c, s, h, k2, d, _, _ in _magnus_steps(piece, lam, x_from, x_to):
-        e11, e12, e21, e22 = c + s * d, s * h, -s * h * k2, c - s * d
-        m11, m12, m21, m22 = (e11 * m11 + e12 * m21, e11 * m12 + e12 * m22,
-                              e21 * m11 + e22 * m21, e21 * m12 + e22 * m22)
-    return TransferMatrix(m11, m12, m21, m22, x_from, x_to)
-
-
-def _ds_dz(c: Scalar, s: Scalar, z: Scalar) -> Scalar:
-    """``dS(z, 1)/dz = (C - S) / (2 z)``, by its power series near 0."""
-    if abs(z) < 0.1:
-        return -(1.0 - (z / 10.0) * (1.0 - (z / 28.0) * (1.0 - (z / 54.0) * (
-            1.0 - (z / 88.0) * (1.0 - z / 130.0))))) / 6.0
-    return (c - s) / (2.0 * z)
-
-
-def _sampled_weighted(piece: Piece, lam: float, y0: float, yp0: float,
-                      x_to: float) -> tuple[float, float, float]:
-    """``(int w y^2, y, y')`` over ``[piece.x0, x_to]`` of a tabulated piece,
-    from the state ``(y0, yp0)`` at ``piece.x0``.
-
-    Each Magnus step also carries its lambda-derivative in closed form
-    (``dC/dz = -S/2``, ``dS/dz = (C - S)/(2z)``, ``dz/dlambda = h^2 w``), so
-    ``(u, u') = d(y, y')/dlambda`` travels with the solution from ``(0, 0)``
-    at the piece's start.  The Lagrange identity
-    ``(y' u - y u')' = w y^2`` then gives the integral at the end.
-    """
-    w = piece.w
-    y, yp, u, up = y0, yp0, 0.0, 0.0
-    for c, s, h, k2, d, z, _ in _magnus_steps(piece, lam, piece.x0, x_to):
-        e11, e12, e21, e22 = c + s * d, s * h, -s * h * k2, c - s * d
-        dz = h * h * w
-        dc = -0.5 * s * dz
-        ds = _ds_dz(c, s, z) * dz
-        u, up = (e11 * u + e12 * up + (dc + ds * d) * y + ds * h * yp,
-                 e21 * u + e22 * up - (ds * k2 + s * w) * h * y
-                 + (dc - ds * d) * yp)
-        y, yp = e11 * y + e12 * yp, e21 * y + e22 * yp
-    return yp * u - y * up, y, yp
+            yield (c + s * d, s * h, -s * h * k2, c - s * d, c, s, h, k2, d,
+                   z, xa + j * h, 1.0)
 
 
 def transfer_across(piece: Piece, lam: Scalar,
                     x_from: float | None = None,
                     x_to: float | None = None) -> TransferMatrix:
-    """Transfer matrix across (part of) one piece at spectral value ``lam``."""
+    """Transfer matrix across (part of) one piece at spectral value ``lam``:
+    the product of its stretches from the first (a constant piece's is its
+    stretch's exactly), stamped with the exact ends so adjacent ones compose."""
     x_from = piece.x0 if x_from is None else x_from
     x_to = piece.x1 if x_to is None else x_to
     if not (piece.x0 <= x_from <= x_to <= piece.x1):
         raise InvalidProblemError(
             f"[{x_from!r}, {x_to!r}] is not inside piece "
             f"[{piece.x0!r}, {piece.x1!r}]")
-    if piece.has_constant_q:
-        k2 = lam * piece.w + piece.q  # type: ignore[operator]
-        return piece_transfer(k2, x_to - x_from, x_from)
-    return _sampled_transfer(piece, lam, x_from, x_to)
+    stream = iter(stretches(piece, lam, x_from, x_to))
+    m11, m12, m21, m22 = next(stream, (1.0, 0.0, 0.0, 1.0))[:4]
+    for e11, e12, e21, e22, _, _, _, _, _, _, _, _ in stream:
+        m11, m12, m21, m22 = (e11 * m11 + e12 * m21, e11 * m12 + e12 * m22,
+                              e21 * m11 + e22 * m21, e21 * m12 + e22 * m22)
+    return TransferMatrix(m11, m12, m21, m22, x_from, x_to)
 
 
 def initial_state(spec: ProblemSpec) -> StateVector:
@@ -310,8 +292,9 @@ def initial_state(spec: ProblemSpec) -> StateVector:
 def propagate(spec: ProblemSpec, lam: Scalar) -> tuple[StateVector, TransferMatrix]:
     """Cross the whole interval: terminal state at ``b`` and the total
     transfer matrix over ``[a, b]``."""
-    total = identity_transfer(spec.a)
-    for piece in spec.pieces:
+    pieces = iter(spec.pieces)
+    total = transfer_across(next(pieces), lam)
+    for piece in pieces:
         total = transfer_across(piece, lam) @ total
     state = total.apply_state(initial_state(spec))
     if not (abs(state.y) + abs(state.yp) < math.inf):
@@ -322,32 +305,17 @@ def propagate(spec: ProblemSpec, lam: Scalar) -> tuple[StateVector, TransferMatr
 def solution_at(spec: ProblemSpec, lam: Scalar,
                 xs: Sequence[float]) -> list[StateVector]:
     """Solution states at the requested locations (any order, must lie in
-    ``[a, b]``)."""
-    for x in xs:
-        if not (spec.a <= x <= spec.b):
-            raise InvalidProblemError(
-                f"x={x!r} outside the problem interval [{spec.a!r}, {spec.b!r}]")
-    order = sorted(range(len(xs)), key=lambda i: xs[i])
-    results: list[StateVector | None] = [None] * len(xs)
-    state = initial_state(spec)
-    idx = 0
-    n_pieces = len(spec.pieces)
-    for pi, piece in enumerate(spec.pieces):
-        last = pi == n_pieces - 1
-        while idx < len(order):
-            x = xs[order[idx]]
-            if x > piece.x1 or (x == piece.x1 and not last):
-                break
-            t = transfer_across(piece, lam, piece.x0, x)
-            moved = t.apply_state(state)
-            # echo the caller's coordinate exactly (the transfer endpoint can
-            # drift by an ulp through x0 + (x - x0))
-            results[order[idx]] = StateVector(x, moved.y, moved.yp)
-            idx += 1
-        state = transfer_across(piece, lam).apply_state(state)
-    if idx != len(order):
-        raise NumericalFailure("solution_at failed to place every point")
-    return results  # type: ignore[return-value]
+    ``[a, b]``).  Each point is carried from the state at the start of the
+    piece that governs it, by the right-limit rule of
+    :meth:`PiecewiseCoefficient.piece_at`."""
+    located = [(x, spec.coeff.piece_at(x)) for x in xs]
+    starts = {}
+    y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
+    for piece in spec.pieces:
+        starts[piece.x0] = y, yp
+        y, yp = transfer_across(piece, lam).apply(y, yp)
+    return [StateVector(x, *transfer_across(piece, lam, piece.x0, x).apply(
+        *starts[piece.x0])) for x, piece in located]
 
 
 def states_on_grid(piece: Piece, lam: Scalar, start: StateVector,
@@ -358,15 +326,11 @@ def states_on_grid(piece: Piece, lam: Scalar, start: StateVector,
     if n < 1:
         raise InvalidProblemError("grid needs at least one interval")
     out = [StateVector(piece.x0, start.y, start.yp)]
-    y, yp = start.y, start.yp
-    length = piece.length
-    prev = piece.x0
     for j in range(1, n + 1):
-        xj = piece.x0 + length * (j / n) if j < n else piece.x1
-        t = transfer_across(piece, lam, prev, xj)
-        y, yp = t.apply(y, yp)
-        out.append(StateVector(xj, y, yp))
-        prev = xj
+        xj = piece.x0 + piece.length * (j / n) if j < n else piece.x1
+        prev = out[-1]
+        out.append(StateVector(xj, *transfer_across(
+            piece, lam, prev.x, xj).apply(prev.y, prev.yp)))
     return out
 
 
@@ -382,35 +346,27 @@ def _require_real(lam: complex | float, what: str) -> float:
     return float(lam)
 
 
-def _piece_weighted(piece: Piece, lam: float, y0: float, yp0: float,
-                    x_hi: float) -> tuple[float, float, float]:
-    """``(contribution, y_end, yp_end)`` of ``int w y^2`` over the piece,
-    clipped to ``[x0, x_hi]``."""
-    length = x_hi - piece.x0
-    if length <= 0.0:
-        return 0.0, y0, yp0
-    if piece.has_constant_q:
-        z = lam * piece.w + piece.q  # type: ignore[operator]
-        icc, ics, iss = norm_kernels(z, length)
-        contrib = piece.w * (y0 * y0 * icc + 2.0 * y0 * yp0 * ics
-                             + yp0 * yp0 * iss)
-        c, s = cs_kernels(z, length)
-        return contrib, c * y0 + s * yp0, -z * s * y0 + c * yp0
-    return _sampled_weighted(piece, lam, y0, yp0, x_hi)
+def _ds_dz(c: Scalar, s: Scalar, z: Scalar) -> Scalar:
+    """``dS(z, 1)/dz = (C - S) / (2 z)``, by its power series near 0."""
+    if abs(z) < 0.1:
+        return -(1.0 - (z / 10.0) * (1.0 - (z / 28.0) * (1.0 - (z / 54.0) * (
+            1.0 - (z / 88.0) * (1.0 - z / 130.0))))) / 6.0
+    return (c - s) / (2.0 * z)
 
 
 @lambda_entry
 def weighted_norm(spec: ProblemSpec, lam: complex | float) -> float:
     """``int_a^b w(x) y(x, lambda)^2 dx`` for the left solution at real
-    ``lambda``.  Constant-potential pieces use closed-form kernel integrals
-    (entire in ``lambda``); tabulated pieces use the Lagrange identity on
-    the lambda-derivative their Magnus steps carry."""
+    ``lambda``, by :func:`weighted_partial`."""
     return weighted_partial(spec, _require_real(lam, "weighted_norm"), spec.b)
 
 
 @lambda_entry
 def weighted_partial(spec: ProblemSpec, lam: float, x_hi: float) -> float:
-    """``int_a^{x_hi} w y^2 dx`` for the left solution."""
+    """``int_a^{x_hi} w y^2 dx`` for the left solution, a fold over
+    :func:`stretches`: constant pieces use the closed-form kernel integrals
+    (entire in ``lambda``), tabulated pieces the Lagrange identity on the
+    lambda-derivative their Magnus steps carry."""
     lam = _require_real(lam, "weighted_partial")
     if not (spec.a <= x_hi <= spec.b):
         raise InvalidProblemError(
@@ -420,9 +376,29 @@ def weighted_partial(spec: ProblemSpec, lam: float, x_hi: float) -> float:
     for piece in spec.pieces:
         if piece.x0 >= x_hi:
             break
-        contrib, y, yp = _piece_weighted(piece, lam, y, yp,
-                                         min(piece.x1, x_hi))
-        total += contrib
+        w = piece.w
+        closed = piece.constant is not None
+        u, up = 0.0, 0.0
+        for e11, e12, e21, e22, c, s, h, k2, d, z, _, length in stretches(
+                piece, lam, piece.x0, min(piece.x1, x_hi)):
+            if closed:
+                # the kernel integrals, sharing the stretch's S(z, length)
+                icc, ics, iss = _norm_integrals(z, length, s)
+                total += w * (y * y * icc + 2.0 * y * yp * ics
+                              + yp * yp * iss)
+            else:
+                # (u, u') = d(y, y')/dlambda, carried from (0, 0) by the
+                # step's derivative (dC/dz = -S/2, dz/dlambda = h^2 w); the
+                # Lagrange identity (y' u - y u')' = w y^2 integrates at the end
+                dz = h * h * w
+                dc = -0.5 * s * dz
+                ds = _ds_dz(c, s, z) * dz
+                u, up = (e11 * u + e12 * up + (dc + ds * d) * y + ds * h * yp,
+                         e21 * u + e22 * up - (ds * k2 + s * w) * h * y
+                         + (dc - ds * d) * yp)
+            y, yp = e11 * y + e12 * yp, e21 * y + e22 * yp
+        if not closed:
+            total += yp * u - y * up
     if not (abs(total) < math.inf):
         raise overflow_failure(lam)
     return total

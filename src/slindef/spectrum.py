@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 from .coefficients import ProblemSpec
 from .errors import (ContourError, InvalidProblemError, NumericalFailure,
                      lambda_entry, overflow_failure)
-from .propagator import (_magnus_steps, cs_kernels, transfer_across,
-                         weighted_norm)
+from .propagator import (_require_real, cs_kernels, stretches,
+                         transfer_across, weighted_norm)
 
 __all__ = [
     "EigenRecord",
@@ -63,14 +63,16 @@ def characteristic_scaled(spec: ProblemSpec, lam: complex | float
     y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
     scale = max(1.0, abs(y) + abs(yp))
     for piece in spec.coeff.pieces:
-        if piece.has_constant_q:
-            # piece_transfer's entries through TransferMatrix.apply, unrolled
-            # in the same order so that D matches the object route bit for bit
-            k2 = lam * piece.w + piece.q  # type: ignore[operator]
-            c, s = cs_kernels(k2, piece.x1 - piece.x0)
-            y, yp = c * y + s * yp, -k2 * s * y + c * yp
-        else:
+        const = piece.constant
+        if const is None:
             y, yp = transfer_across(piece, lam).apply(y, yp)
+        else:
+            # the piece's one stretch, unrolled in transfer_across's order:
+            # fed from ``stretches``, D cost 11-15 % of constant-piece scans
+            w, q, x0, x1 = const
+            k2 = lam * w + q
+            c, s = cs_kernels(k2, x1 - x0)
+            y, yp = c * y + s * yp, -k2 * s * y + c * yp
         scale = max(scale, abs(y) + abs(yp))
     d = y * math.cos(spec.beta) + yp * math.sin(spec.beta)
     if not (scale < math.inf and d == d):
@@ -105,22 +107,20 @@ def _bisect_zero(f: Callable[[float], float], t0: float, t1: float,
 
 
 def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
-                   v: float, y1: float, x0: float, unit: float, snap: float,
-                   last: bool) -> None:
+                   v: float, y1: float, x0: float, unit: float,
+                   snap: float) -> None:
     """Append the zeros of ``y(t) = C(k2, t) y0 + S(k2, t) v`` on
     ``(0, length]``, whose end value is ``y1``, at ``x0 + unit * t``.
 
     ``snap`` is in units of ``t``: a zero within it of ``t = 0`` belongs to
-    the stretch before, and with ``last`` the stretch ends at ``b``, whose
-    zero is the boundary condition's.
+    the stretch before.
     """
     if k2 > 0.0 and math.sqrt(k2) * length > 1e-2:
         # Oscillatory: y(t) = A sin(k t + phi).
         k = math.sqrt(k2)
         phi = math.atan2(y0, v / k)
-        s_hi = length - snap if last else length
         m_lo = math.floor((phi + k * snap) / math.pi) + 1
-        m_hi = math.floor((phi + k * s_hi) / math.pi)
+        m_hi = math.floor((phi + k * length) / math.pi)
         for m in range(m_lo, m_hi + 1):
             zeros.append(x0 + unit * ((m * math.pi - phi) / k))
         return
@@ -131,8 +131,7 @@ def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
     else:
         ys, ts = y0, 0.0
     if y1 == 0.0:
-        if not last:
-            zeros.append(x0 + unit * length)
+        zeros.append(x0 + unit * length)
     elif (ys < 0.0) != (y1 < 0.0):
         ratio = -y0 / v
         if k2 < 0.0:
@@ -148,59 +147,36 @@ def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
 
 
 @lambda_entry
-def interior_zeros(spec: ProblemSpec, lam: float,
-                   end_band: float | None = None) -> list[float]:
+def interior_zeros(spec: ProblemSpec, lam: float) -> list[float]:
     """Locations of zeros of the left solution strictly inside ``(a, b)``.
 
-    ``lam`` must be real.  Every stretch of the walk has constant
-    coefficients: a constant piece, or one Magnus step of a tabulated piece,
-    whose flow ``exp(tau Omega)`` with ``Omega^2 = -z I`` carries the step's
-    start state ``(y0, y0')`` to ``C(z, tau) y0 + S(z, tau) (d y0 + h y0')``
-    for ``tau`` in ``[0, 1]``.  One routine places the zeros of all of
-    them: where ``k2`` (or ``z``) is positive and the stretch oscillates,
-    from the phase representation; elsewhere the solution has at most one
-    zero on the stretch, the signs at its ends decide whether it is there,
-    and an ``atanh``, linear or ``atan`` formula places it.
+    ``lam`` must be real.  The walk is a fold over :func:`stretches`, and
+    on each stretch ``_stretch_zeros`` places the zeros in closed form: by
+    the phase where the stretch oscillates; elsewhere there is at most one,
+    which the end signs detect and an ``atanh``, linear or ``atan`` formula
+    places.
 
-    ``end_band`` is the exclusion half-width next to ``x = b``.  For
-    Dirichlet conditions at ``b`` it defaults to ``1e-6 * (b - a)``: at an
-    eigenvalue the boundary zero of the exact eigenfunction sits at ``b``
-    itself, but the computed solution displaces it by roughly
-    ``|y(b)| / |y'(b)|``, which can be many orders of magnitude above
-    resolution when the solution decays through the last piece.  Zeros
-    inside the band are treated as that boundary artifact.  For other
-    boundary conditions the band defaults to the dedup resolution.
+    Zeros within an end band of ``x = b`` are dropped.  For Dirichlet
+    conditions at ``b`` the band is ``1e-6 * (b - a)``: at an eigenvalue the
+    exact eigenfunction's boundary zero sits at ``b``, but the computed
+    solution displaces it by roughly ``|y(b)| / |y'(b)|``, which can be many
+    orders of magnitude above resolution when the solution decays through
+    the last piece.  For other boundary conditions the band is the dedup
+    resolution ``1e-12 * (b - a)``, which also drops a zero the last stretch
+    puts at ``b``.
     """
-    if isinstance(lam, complex):
-        if lam.imag != 0.0:
-            raise InvalidProblemError("interior zero counting needs real lambda")
-        lam = lam.real
+    lam = _require_real(lam, "interior zero counting")
     a, b = spec.a, spec.b
     snap = 1e-12 * (b - a)
-    if end_band is None:
-        end_band = 1e-6 * (b - a) if spec.beta == 0.0 else snap
-    end_band = max(end_band, snap)
+    end_band = 1e-6 * (b - a) if spec.beta == 0.0 else snap
     zeros: list[float] = []
     y0, yp0 = math.sin(spec.alpha), math.cos(spec.alpha)
-    pieces = spec.coeff.pieces
-    for pi, piece in enumerate(pieces):
-        if piece.has_constant_q:
-            k2 = lam * piece.w + piece.q  # type: ignore[operator]
-            length = piece.length
-            c, s = cs_kernels(k2, length)
-            y1, yp1 = c * y0 + s * yp0, -k2 * s * y0 + c * yp0
-            _stretch_zeros(zeros, k2, length, y0, yp0, y1, piece.x0, 1.0,
-                           snap, pi == len(pieces) - 1)
-            y0, yp0 = y1, yp1
-            continue
-        # no step is flagged last: a zero a step puts at b lies in the end
-        # band dropped below
-        for c, s, h, k2, d, z, x in _magnus_steps(piece, lam, piece.x0,
-                                                  piece.x1):
-            y1, yp1 = ((c + s * d) * y0 + s * h * yp0,
-                       -s * h * k2 * y0 + (c - s * d) * yp0)
-            _stretch_zeros(zeros, z, 1.0, y0, d * y0 + h * yp0, y1, x, h,
-                           snap, False)
+    for piece in spec.coeff.pieces:
+        for e11, e12, e21, e22, _, _, h, _, d, z, x, length in stretches(
+                piece, lam, piece.x0, piece.x1):
+            y1, yp1 = e11 * y0 + e12 * yp0, e21 * y0 + e22 * yp0
+            _stretch_zeros(zeros, z, length, y0, d * y0 + h * yp0, y1, x, h,
+                           snap)
             y0, yp0 = y1, yp1
     if not (abs(y0) + abs(yp0) < math.inf):
         raise overflow_failure(lam)
@@ -648,45 +624,43 @@ def _wrap_angle(x: float) -> float:
     return x
 
 
-class _EdgeWalker:
-    """Adaptive phase tracking of ``D`` along one straight contour edge."""
+# Samples one contour edge may take before its phase counts as unresolved.
+_EDGE_MAX_POINTS = 4096
 
-    def __init__(self, spec: ProblemSpec, z0: complex, z1: complex,
-                 max_points: int = 4096):
-        self.spec = spec
-        self.z0 = z0
-        self.z1 = z1
-        self.max_points = max_points
 
-    def _eval(self, t: float) -> tuple[float, float]:
-        z = self.z0 + t * (self.z1 - self.z0)
-        d, scale = characteristic_scaled(self.spec, z)
+def _edge_phase_change(spec: ProblemSpec, z0: complex, z1: complex,
+                       max_jump: float) -> float:
+    """Change of the phase of ``D`` along the straight edge ``z0 -> z1``,
+    sampled more finely where consecutive phases jump past ``max_jump``."""
+
+    def phase(t: float) -> float:
+        z = z0 + t * (z1 - z0)
+        d, scale = characteristic_scaled(spec, z)
         dc = complex(d)
         if abs(dc) <= 1e3 * _EPS * scale:
             raise ContourError(
                 f"characteristic function vanishes on the contour near {z!r}")
-        return cmath.phase(dc), abs(dc)
+        return cmath.phase(dc)
 
-    def total_change(self, max_jump: float = 0.5 * math.pi) -> float:
-        ts = [i / 16.0 for i in range(17)]
-        args = [self._eval(t)[0] for t in ts]
-        i = 0
-        while i < len(ts) - 1:
-            jump = _wrap_angle(args[i + 1] - args[i])
-            if abs(jump) > max_jump:
-                if len(ts) >= self.max_points:
-                    raise ContourError(
-                        f"cannot resolve the phase of D along the contour edge "
-                        f"{self.z0!r} -> {self.z1!r}")
-                tm = 0.5 * (ts[i] + ts[i + 1])
-                ts.insert(i + 1, tm)
-                args.insert(i + 1, self._eval(tm)[0])
-                continue
-            i += 1
-        total = 0.0
-        for a0, a1 in zip(args, args[1:]):
-            total += _wrap_angle(a1 - a0)
-        return total
+    ts = [i / 16.0 for i in range(17)]
+    args = [phase(t) for t in ts]
+    i = 0
+    while i < len(ts) - 1:
+        jump = _wrap_angle(args[i + 1] - args[i])
+        if abs(jump) > max_jump:
+            if len(ts) >= _EDGE_MAX_POINTS:
+                raise ContourError(
+                    f"cannot resolve the phase of D along the contour edge "
+                    f"{z0!r} -> {z1!r}")
+            tm = 0.5 * (ts[i] + ts[i + 1])
+            ts.insert(i + 1, tm)
+            args.insert(i + 1, phase(tm))
+            continue
+        i += 1
+    total = 0.0
+    for a0, a1 in zip(args, args[1:]):
+        total += _wrap_angle(a1 - a0)
+    return total
 
 
 def _winding_number(spec: ProblemSpec, rect: _Rect) -> int:
@@ -695,7 +669,7 @@ def _winding_number(spec: ProblemSpec, rect: _Rect) -> int:
     for max_jump in (0.5 * math.pi, 0.25 * math.pi):
         total = 0.0
         for z0, z1 in zip(corners, corners[1:] + corners[:1]):
-            total += _EdgeWalker(spec, z0, z1).total_change(max_jump)
+            total += _edge_phase_change(spec, z0, z1, max_jump)
         w = round(total / (2.0 * math.pi))
         if abs(total / (2.0 * math.pi) - w) <= 0.2:
             if w < 0:

@@ -4,12 +4,9 @@ Everything here deliberately avoids the package's own closed-form machinery:
 propagation goes through scipy's DOP853 integrator on the raw second-order
 ODE, weighted norms through composite Simpson quadrature on a dense sample of
 that integrated solution, and zero counts through dense sign tracking.  Tests
-compare the package against these slower routes.
-
-The two ``chained_*`` functions are the exception: they replay the package's
-own object API (``transfer_across(piece, lam).apply`` and ``norm_kernels``)
-piece by piece, so that tests can demand exact equality from the per-lambda
-loops, which cross constant pieces with inline arithmetic instead.
+compare the package against these slower routes.  ``perfbench``'s
+``pointwise`` check imports this module too, so it uses nothing of the
+package but its public problem model.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from slindef import ProblemSpec
-from slindef.propagator import _sampled_weighted, norm_kernels, transfer_across
 
 _RTOL = 1e-12
 _ATOL = 1e-14
@@ -103,31 +99,3 @@ def dense_zero_count(spec: ProblemSpec, lam: float,
     signs = np.sign(ys)
     signs = signs[signs != 0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
-
-
-def chained_characteristic(spec: ProblemSpec, lam) -> tuple:
-    """``(D, scale)`` as ``characteristic_scaled`` defines them, by applying
-    one ``TransferMatrix`` per piece."""
-    y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
-    scale = max(1.0, abs(y) + abs(yp))
-    for piece in spec.pieces:
-        y, yp = transfer_across(piece, lam).apply(y, yp)
-        scale = max(scale, abs(y) + abs(yp))
-    return y * math.cos(spec.beta) + yp * math.sin(spec.beta), scale
-
-
-def chained_weighted_norm(spec: ProblemSpec, lam: float) -> float:
-    """``int w y^2``: ``norm_kernels`` and a ``TransferMatrix`` per constant
-    piece, the Magnus-step Lagrange identity per tabulated piece."""
-    y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
-    total = 0.0
-    for piece in spec.pieces:
-        if piece.has_constant_q:
-            icc, ics, iss = norm_kernels(lam * piece.w + piece.q, piece.length)
-            total += piece.w * (y * y * icc + 2.0 * y * yp * ics
-                                + yp * yp * iss)
-            y, yp = transfer_across(piece, lam).apply(y, yp)
-        else:
-            contrib, y, yp = _sampled_weighted(piece, lam, y, yp, piece.x1)
-            total += contrib
-    return total

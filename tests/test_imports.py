@@ -1,5 +1,6 @@
-"""Import layout of the package: modules import each other at the top of a
-file only, so the import graph has no cycle hidden inside a function."""
+"""Import layout: modules of the package import each other at the top of a
+file only, so the import graph has no cycle hidden inside a function, and
+the test oracles take no private name from the package."""
 
 import ast
 import pathlib
@@ -31,3 +32,16 @@ def test_no_package_import_inside_a_function():
     found = [hit for path in paths for hit in function_local_package_imports(path)]
     # stdlib imports inside functions (concurrent.futures) stay allowed
     assert found == []
+
+
+def test_oracles_use_no_private_package_name():
+    # perfbench's pointwise check imports tests/oracles.py, so a private name
+    # it took from the package would break that check when the name goes
+    path = SRC.parents[1] / "tests" / "oracles.py"
+    tree = ast.parse(path.read_text(), str(path))
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "slindef"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -193,6 +194,33 @@ class TestPropagation:
             assert state.x == x
             ref = float(np.interp(x, ox, oy))
             assert state.y == pytest.approx(ref, abs=5e-9)
+
+    def test_propagate_composes_drawn_breakpoints(self):
+        # x0 + (x1 - x0) can miss x1 by an ulp, so a transfer stamped that
+        # way fails to compose with the next piece's
+        rng = random.Random(2)
+        for _ in range(100):
+            xs = [-1.0, *sorted(rng.uniform(-1.0, 2.0) for _ in range(3)), 2.0]
+            spec = ProblemSpec(PiecewiseCoefficient(tuple(
+                Piece(x0, x1, rng.choice((-1.0, 1.0)), rng.uniform(-10.0, 10.0))
+                for x0, x1 in zip(xs, xs[1:]))))
+            term, total = propagate(spec, 5.0)
+            assert (total.x0, total.x1, term.x) == (-1.0, 2.0, 2.0)
+            (end,) = solution_at(spec, 5.0, [2.0])
+            assert (term.y, term.yp) == (end.y, end.yp)
+
+    def test_constant_norm_shares_the_stretch_kernel(self, monkeypatch,
+                                                     one_tp_m10):
+        # per constant piece: S(z, L) from the stretch, S(z, 2L) for Icc
+        calls = []
+
+        def counted(z, t):
+            calls.append((z, t))
+            return cs_kernels(z, t)
+
+        monkeypatch.setattr(propagator, "cs_kernels", counted)
+        propagator.weighted_norm(one_tp_m10, 17.0)
+        assert len(calls) == 2 * len(one_tp_m10.pieces) == 4
 
     def test_solution_at_preserves_order_and_rejects_outside(self, app_spec):
         xs = [2.0, -1.0, 0.5]

@@ -30,13 +30,13 @@ from slindef import (
     weighted_norm,
 )
 from slindef import propagator, spectrum
-from slindef.propagator import solution_at, transfer_across
+from slindef.propagator import (_ds_dz, norm_kernels, solution_at,
+                                stretches, transfer_across)
 from slindef.richardson import weighted_partial
 from slindef.spectrum import (_empirical_indices, _refine_bracket,
                               _thread_count, characteristic_scaled)
 
-from oracles import (chained_characteristic, chained_weighted_norm,
-                     dense_zero_count, ivp_characteristic)
+from oracles import dense_zero_count, ivp_characteristic
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -109,6 +109,44 @@ def mixed_problems(draw):
     angle = st.floats(min_value=0.0, max_value=3.1)
     return ProblemSpec(PiecewiseCoefficient(tuple(pieces)), draw(angle),
                        draw(angle))
+
+
+def chained_characteristic(spec: ProblemSpec, lam) -> tuple:
+    """``(D, scale)`` as ``characteristic_scaled`` defines them, by applying
+    one ``TransferMatrix`` per piece."""
+    y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
+    scale = max(1.0, abs(y) + abs(yp))
+    for piece in spec.pieces:
+        y, yp = transfer_across(piece, lam).apply(y, yp)
+        scale = max(scale, abs(y) + abs(yp))
+    return y * math.cos(spec.beta) + yp * math.sin(spec.beta), scale
+
+
+def chained_weighted_norm(spec: ProblemSpec, lam: float) -> float:
+    """``int w y^2``: ``norm_kernels`` and a ``TransferMatrix`` per constant
+    piece; per tabulated piece, the Lagrange identity on the
+    lambda-derivative carried through the Magnus steps of ``stretches``."""
+    y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
+    total = 0.0
+    for piece in spec.pieces:
+        w = piece.w
+        if piece.has_constant_q:
+            icc, ics, iss = norm_kernels(lam * w + piece.q, piece.length)
+            total += w * (y * y * icc + 2.0 * y * yp * ics + yp * yp * iss)
+            y, yp = transfer_across(piece, lam).apply(y, yp)
+            continue
+        u, up = 0.0, 0.0
+        for e11, e12, e21, e22, c, s, h, k2, d, z, _, _ in stretches(
+                piece, lam, piece.x0, piece.x1):
+            dz = h * h * w
+            dc = -0.5 * s * dz
+            ds = _ds_dz(c, s, z) * dz
+            u, up = (e11 * u + e12 * up + (dc + ds * d) * y + ds * h * yp,
+                     e21 * u + e22 * up - (ds * k2 + s * w) * h * y
+                     + (dc - ds * d) * yp)
+            y, yp = e11 * y + e12 * yp, e21 * y + e22 * yp
+        total += yp * u - y * up
+    return total
 
 
 class TestInlineStep:
