@@ -625,16 +625,6 @@ def _lowest_unit_weight_eigenvalue(spec: ProblemSpec) -> float:
     raise NumericalFailure("no unit-weight eigenvalue found; cannot classify")
 
 
-def _simpson(f, lo: float, hi: float, n: int = 2000) -> float:
-    if n % 2:
-        n += 1
-    h = (hi - lo) / n
-    total = f(lo) + f(hi)
-    for i in range(1, n):
-        total += f(lo + i * h) * (4.0 if i % 2 else 2.0)
-    return total * h / 3.0
-
-
 def classify_definiteness(spec: ProblemSpec) -> DefinitenessReport:
     """Classify the problem as orthogonal (one-signed weight), polar
     (indefinite weight but positive energy form, hence real spectrum), or
@@ -677,11 +667,20 @@ def classify_definiteness(spec: ProblemSpec) -> DefinitenessReport:
         n = math.ceil(length / math.pi * math.sqrt(max(q_sup, 0.0) + 1.0)) + 1
         freq = n * math.pi / length
 
-        def integrand(x: float) -> float:
-            s = math.sin(freq * (x - spec.a))
-            return spec.coeff.evaluate(x)[1] * s * s
-
-        qint = _simpson(integrand, spec.a, spec.b, 4000)
+        # int q sin^2(freq (x - a)) dx, exactly on each linear segment of q:
+        # (qa + qb) span / 4 - [q sin(g (x - a)) / g + q' cos(g (x - a)) / g^2] / 2
+        # between its ends, with g = 2 freq
+        g = 2.0 * freq
+        qint = 0.0
+        for piece in spec.pieces:
+            nodes = (((piece.x0, piece.q), (piece.x1, piece.q))
+                     if piece.has_constant_q else piece.q)
+            for (xa, qa), (xb, qb) in zip(nodes, nodes[1:]):
+                slope = (qb - qa) / (xb - xa)
+                ta, tb = g * (xa - spec.a), g * (xb - spec.a)
+                qint += 0.25 * (qa + qb) * (xb - xa) - 0.5 * (
+                    (qb * math.sin(tb) - qa * math.sin(ta)) / g
+                    + slope * (math.cos(tb) - math.cos(ta)) / (g * g))
         witnesses["energy_form_positive_trial"] = {
             "trial": f"sin({n} pi (x - a)/(b - a))",
             "value": freq * freq * length / 2.0 - qint,

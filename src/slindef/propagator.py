@@ -20,7 +20,9 @@ potential is flat, and its error falls as ``h^4`` without growing with
 constant piece is one stretch, a tabulated piece its Magnus steps, each a
 flow ``C(z, tau) I + S(z, tau) Omega``.  Zero counts, weighted norms and
 transfer matrices are folds over it; only ``characteristic_scaled``, the
-hottest loop, crosses constant pieces with the same arithmetic inline.
+hottest loop, crosses constant pieces with the same arithmetic inline.  A
+weighted norm comes from the Lagrange identity on the lambda-derivative of
+``(y, y')``, which every stretch carries in closed form.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "StateVector",
     "TransferMatrix",
     "cs_kernels",
-    "norm_kernels",
     "piece_transfer",
     "propagate",
     "solution_at",
@@ -91,38 +92,6 @@ def cs_kernels(z: Scalar, t: float) -> tuple[Scalar, Scalar]:
     kappa = math.sqrt(-z)
     kt = kappa * t
     return math.cosh(kt), math.sinh(kt) / kappa
-
-
-def norm_kernels(z: Scalar, t: float) -> tuple[Scalar, Scalar, Scalar]:
-    """Integrals of kernel products over ``[0, t]``: ``(Icc, Ics, Iss)`` with
-
-        Icc = int C(z, s)^2 ds,  Ics = int C(z, s) S(z, s) ds,
-        Iss = int S(z, s)^2 ds.
-
-    All three are entire in ``z``; ``Iss`` switches to its power series when
-    the closed form ``(t - S(z, 2t)/2) / (2 z)`` would cancel.
-    """
-    return _norm_integrals(z, t, cs_kernels(z, t)[1])
-
-
-def _norm_integrals(z: Scalar, t: float,
-                    s1: Scalar) -> tuple[Scalar, Scalar, Scalar]:
-    """:func:`norm_kernels` with ``s1 = S(z, t)``, which a stretch carries."""
-    _, s2 = cs_kernels(z, 2.0 * t)
-    icc = 0.5 * t + 0.25 * s2
-    ics = 0.5 * s1 * s1
-    u = z * (2.0 * t) * (2.0 * t)
-    if abs(u) < 1e-3:
-        # Iss = sum_{j>=0} (-z)^j (2t)^(2j+3) / (4 (2j+3)!); consecutive terms
-        # differ by -u / ((2j+2)(2j+3)).
-        term = (2.0 * t) ** 3 / 24.0
-        iss = term
-        for j in range(1, 7):
-            term = term * (-u) / ((2 * j + 2) * (2 * j + 3))
-            iss = iss + term
-    else:
-        iss = (t - 0.5 * s2) / (2.0 * z)
-    return icc, ics, iss
 
 
 @dataclass(frozen=True)
@@ -307,12 +276,16 @@ def solution_at(spec: ProblemSpec, lam: Scalar,
     """Solution states at the requested locations (any order, must lie in
     ``[a, b]``).  Each point is carried from the state at the start of the
     piece that governs it, by the right-limit rule of
-    :meth:`PiecewiseCoefficient.piece_at`."""
+    :meth:`PiecewiseCoefficient.piece_at`.  The start state is carried only
+    as far as the last piece a point needs."""
     located = [(x, spec.coeff.piece_at(x)) for x in xs]
+    last = max((piece.x0 for _, piece in located), default=spec.a)
     starts = {}
     y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
     for piece in spec.pieces:
         starts[piece.x0] = y, yp
+        if piece.x0 == last:
+            break
         y, yp = transfer_across(piece, lam).apply(y, yp)
     return [StateVector(x, *transfer_across(piece, lam, piece.x0, x).apply(
         *starts[piece.x0])) for x, piece in located]
@@ -346,12 +319,14 @@ def _require_real(lam: complex | float, what: str) -> float:
     return float(lam)
 
 
-def _ds_dz(c: Scalar, s: Scalar, z: Scalar) -> Scalar:
-    """``dS(z, 1)/dz = (C - S) / (2 z)``, by its power series near 0."""
-    if abs(z) < 0.1:
-        return -(1.0 - (z / 10.0) * (1.0 - (z / 28.0) * (1.0 - (z / 54.0) * (
-            1.0 - (z / 88.0) * (1.0 - z / 130.0))))) / 6.0
-    return (c - s) / (2.0 * z)
+def _ds_dz(c: Scalar, s: Scalar, z: Scalar, t: float) -> Scalar:
+    """``dS(z, t)/dz = (t C - S) / (2 z)``, by its power series in
+    ``u = z t^2`` near 0."""
+    u = z * t * t
+    if abs(u) < 0.1:
+        return -t * t * t * (1.0 - (u / 10.0) * (1.0 - (u / 28.0) * (
+            1.0 - (u / 54.0) * (1.0 - (u / 88.0) * (1.0 - u / 130.0))))) / 6.0
+    return (c * t - s) / (2.0 * z)
 
 
 @lambda_entry
@@ -364,9 +339,10 @@ def weighted_norm(spec: ProblemSpec, lam: complex | float) -> float:
 @lambda_entry
 def weighted_partial(spec: ProblemSpec, lam: float, x_hi: float) -> float:
     """``int_a^{x_hi} w y^2 dx`` for the left solution, a fold over
-    :func:`stretches`: constant pieces use the closed-form kernel integrals
-    (entire in ``lambda``), tabulated pieces the Lagrange identity on the
-    lambda-derivative their Magnus steps carry."""
+    :func:`stretches`: every stretch carries the lambda-derivative
+    ``(u, u')`` of ``(y, y')`` from ``(0, 0)`` at its piece's start, and the
+    Lagrange identity ``(y' u - y u')' = w y^2`` integrates each piece at its
+    end."""
     lam = _require_real(lam, "weighted_partial")
     if not (spec.a <= x_hi <= spec.b):
         raise InvalidProblemError(
@@ -377,28 +353,18 @@ def weighted_partial(spec: ProblemSpec, lam: float, x_hi: float) -> float:
         if piece.x0 >= x_hi:
             break
         w = piece.w
-        closed = piece.constant is not None
         u, up = 0.0, 0.0
         for e11, e12, e21, e22, c, s, h, k2, d, z, _, length in stretches(
                 piece, lam, piece.x0, min(piece.x1, x_hi)):
-            if closed:
-                # the kernel integrals, sharing the stretch's S(z, length)
-                icc, ics, iss = _norm_integrals(z, length, s)
-                total += w * (y * y * icc + 2.0 * y * yp * ics
-                              + yp * yp * iss)
-            else:
-                # (u, u') = d(y, y')/dlambda, carried from (0, 0) by the
-                # step's derivative (dC/dz = -S/2, dz/dlambda = h^2 w); the
-                # Lagrange identity (y' u - y u')' = w y^2 integrates at the end
-                dz = h * h * w
-                dc = -0.5 * s * dz
-                ds = _ds_dz(c, s, z) * dz
-                u, up = (e11 * u + e12 * up + (dc + ds * d) * y + ds * h * yp,
-                         e21 * u + e22 * up - (ds * k2 + s * w) * h * y
-                         + (dc - ds * d) * yp)
+            # the stretch's derivative: dC/dz = -length S/2, dz/dlambda = h^2 w
+            dz = h * h * w
+            dc = -0.5 * length * s * dz
+            ds = _ds_dz(c, s, z, length) * dz
+            u, up = (e11 * u + e12 * up + (dc + ds * d) * y + ds * h * yp,
+                     e21 * u + e22 * up - (ds * k2 + s * w) * h * y
+                     + (dc - ds * d) * yp)
             y, yp = e11 * y + e12 * yp, e21 * y + e22 * yp
-        if not closed:
-            total += yp * u - y * up
+        total += yp * u - y * up
     if not (abs(total) < math.inf):
         raise overflow_failure(lam)
     return total

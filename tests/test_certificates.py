@@ -2,8 +2,10 @@
 
 import json
 import math
+import re
 
 import pytest
+from scipy.integrate import quad
 
 from slindef import (
     HypothesisViolation,
@@ -341,6 +343,31 @@ class TestClassification:
 
     def test_app_polar(self, app_spec):
         assert classify_definiteness(app_spec).kind == "polar"
+
+    @pytest.mark.parametrize("pieces", [
+        (Piece(-1.0, 0.3, -1.0, 30.0), Piece(0.3, 2.0, 2.0, -5.0)),
+        (Piece(-1.0, 0.3, -1.0, ((-1.0, 20.0), (-0.2, 35.0), (0.3, 28.0))),
+         Piece(0.3, 2.0, 2.0, ((0.3, -5.0), (1.1, 4.0), (2.0, -2.0)))),
+    ])
+    def test_energy_trial_matches_quadrature(self, pieces):
+        # q jumps at 0.3 and bends at the table nodes: quad is split there
+        spec = ProblemSpec(PiecewiseCoefficient(pieces))
+        rep = classify_definiteness(spec)
+        assert rep.kind == "nondefinite"
+        trial = rep.witnesses["energy_form_positive_trial"]
+        n = int(re.fullmatch(r"sin\((\d+) pi \(x - a\)/\(b - a\)\)",
+                             trial["trial"]).group(1))
+        length = spec.b - spec.a
+        freq = n * math.pi / length
+        points = sorted({x for p in pieces for x in (p.x0, p.x1)}
+                        | {x for p in pieces if not p.has_constant_q
+                           for x, _ in p.q})
+        qint, _ = quad(lambda x: spec.coeff.evaluate(x)[1]
+                       * math.sin(freq * (x - spec.a)) ** 2,
+                       spec.a, spec.b, points=points[1:-1], limit=200,
+                       epsabs=0.0, epsrel=1e-13)
+        want = freq * freq * length / 2.0 - qint
+        assert trial["value"] == pytest.approx(want, rel=1e-12)
 
     def test_report_serializes(self, one_tp_m10):
         doc = classify_definiteness(one_tp_m10).to_dict()

@@ -1,9 +1,13 @@
 """Import layout: modules of the package import each other at the top of a
-file only, so the import graph has no cycle hidden inside a function, and
-the test oracles take no private name from the package."""
+file only, so the import graph has no cycle hidden inside a function, the
+test oracles take no private name from the package, and every name a
+module exports in ``__all__`` resolves."""
 
 import ast
+import importlib
 import pathlib
+
+import slindef
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "slindef"
 
@@ -45,3 +49,13 @@ def test_oracles_use_no_private_package_name():
                and (node.module or "").split(".")[0] == "slindef"
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_every_exported_name_resolves():
+    modules = [slindef] + [importlib.import_module(f"slindef.{path.stem}")
+                           for path in sorted(SRC.glob("*.py"))
+                           if path.stem != "__init__"]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == []

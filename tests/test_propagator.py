@@ -15,15 +15,14 @@ from slindef import (
     PiecewiseCoefficient,
     ProblemSpec,
     cs_kernels,
-    norm_kernels,
     piece_transfer,
     propagate,
     solution_at,
 )
 from slindef import propagator
-from slindef.propagator import initial_state, transfer_across
+from slindef.propagator import _ds_dz, initial_state, transfer_across
 
-from oracles import ivp_states
+from oracles import ivp_states, kernel_integrals
 
 
 def rel_det_defect(m) -> float:
@@ -84,10 +83,13 @@ class TestKernels:
 
 
 class TestNormKernels:
+    """The kernel integrals of ``tests/oracles.py``, the reference that
+    constant-piece weighted norms are checked against."""
+
     @given(st.floats(min_value=-200.0, max_value=200.0),
            st.floats(min_value=0.05, max_value=2.0))
     def test_match_quadrature(self, z, t):
-        icc, ics, iss = norm_kernels(z, t)
+        icc, ics, iss = kernel_integrals(z, t)
         xs = np.linspace(0.0, t, 4001)
         cs = np.array([cs_kernels(z, x) for x in xs])
         h = t / (len(xs) - 1)
@@ -103,14 +105,39 @@ class TestNormKernels:
         assert iss == pytest.approx(simpson(cs[:, 1] ** 2), rel=1e-8, abs=1e-9)
 
     def test_series_branch_continuity(self):
+        # Iss switches to its series below |z (2t)^2| = 1
         t = 0.5
-        for z in (9e-4, 1.1e-3, -9e-4, -1.1e-3):
-            iss = norm_kernels(z, t)[2]
-            # reference via high-precision direct formula at a nearby scale
+        for z in (0.9, 1.1, -0.9, -1.1):
+            iss = kernel_integrals(z, t)[2]
             k = cmath.sqrt(complex(z))
             s2t = complex(cmath.sin(2 * k * t) / k).real
             ref = (t - s2t / 2.0) / (2.0 * z)
-            assert iss == pytest.approx(ref, rel=1e-10)
+            assert iss == pytest.approx(ref, rel=1e-13)
+
+
+class TestKernelDerivative:
+    @staticmethod
+    def _series(z, t):
+        # dS/dz = sum_{j>=1} j (-1)^j z^(j-1) t^(2j+1) / (2j+1)!, to 30 terms
+        return sum(j * (-1) ** j * z ** (j - 1) * t ** (2 * j + 1)
+                   / math.factorial(2 * j + 1) for j in range(1, 31))
+
+    def test_both_sides_of_the_series_cutoff(self):
+        for t in (0.25, 1.0, 2.5):
+            for u in (0.0999, 0.1001, -0.0999, -0.1001, 0.5, -0.5, 1e-9, 0.0):
+                z = u / (t * t)
+                c, s = cs_kernels(z, t)
+                assert _ds_dz(c, s, z, t) == pytest.approx(
+                    self._series(z, t), rel=1e-13)
+
+    def test_magnus_step_length_multiplies_exactly(self):
+        # t = 1.0 must leave the step's arithmetic untouched, bit for bit
+        for z in (0.05, -0.05, 0.3, -7.0, 40.0):
+            c, s = cs_kernels(z, 1.0)
+            series = -(1.0 - (z / 10.0) * (1.0 - (z / 28.0) * (1.0 - (
+                z / 54.0) * (1.0 - (z / 88.0) * (1.0 - z / 130.0))))) / 6.0
+            want = series if abs(z) < 0.1 else (c - s) / (2.0 * z)
+            assert _ds_dz(c, s, z, 1.0) == want
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +238,8 @@ class TestPropagation:
 
     def test_constant_norm_shares_the_stretch_kernel(self, monkeypatch,
                                                      one_tp_m10):
-        # per constant piece: S(z, L) from the stretch, S(z, 2L) for Icc
+        # per constant piece: (C, S)(z, L) from the stretch, which also
+        # gives the lambda-derivative the norm is integrated from
         calls = []
 
         def counted(z, t):
@@ -220,7 +248,21 @@ class TestPropagation:
 
         monkeypatch.setattr(propagator, "cs_kernels", counted)
         propagator.weighted_norm(one_tp_m10, 17.0)
-        assert len(calls) == 2 * len(one_tp_m10.pieces) == 4
+        assert len(calls) == len(one_tp_m10.pieces) == 2
+
+    def test_solution_at_crosses_only_the_pieces_it_needs(self, monkeypatch,
+                                                          app_spec):
+        calls = []
+
+        def counted(piece, lam, *rest):
+            calls.append(piece)
+            return transfer_across(piece, lam, *rest)
+
+        monkeypatch.setattr(propagator, "transfer_across", counted)
+        for x, want in ((app_spec.a, 1), (app_spec.b, len(app_spec.pieces))):
+            calls.clear()
+            solution_at(app_spec, 3.0, [x])
+            assert len(calls) == want
 
     def test_solution_at_preserves_order_and_rejects_outside(self, app_spec):
         xs = [2.0, -1.0, 0.5]

@@ -30,13 +30,13 @@ from slindef import (
     weighted_norm,
 )
 from slindef import propagator, spectrum
-from slindef.propagator import (_ds_dz, norm_kernels, solution_at,
-                                stretches, transfer_across)
+from slindef.propagator import (_ds_dz, solution_at, stretches,
+                                transfer_across)
 from slindef.richardson import weighted_partial
 from slindef.spectrum import (_empirical_indices, _refine_bracket,
                               _thread_count, characteristic_scaled)
 
-from oracles import dense_zero_count, ivp_characteristic
+from oracles import dense_zero_count, ivp_characteristic, kernel_weighted_norm
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -88,9 +88,9 @@ class TestCharacteristic:
 
 
 @st.composite
-def mixed_problems(draw):
-    """1-4 pieces of either weight sign, each with a constant or a 2-3-node
-    tabulated potential, and random boundary angles."""
+def mixed_problems(draw, max_nodes=3):
+    """1-4 pieces of either weight sign, each with a constant or a
+    2-``max_nodes``-node tabulated potential, and random boundary angles."""
     x = draw(st.floats(min_value=-1.0, max_value=1.0))
     pieces = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
@@ -98,7 +98,7 @@ def mixed_problems(draw):
         w = draw(st.sampled_from((-1.0, 1.0))) * draw(
             st.floats(min_value=0.2, max_value=3.0))
         qs = draw(st.lists(st.floats(min_value=-20.0, max_value=20.0),
-                           min_size=1, max_size=3))
+                           min_size=1, max_size=max_nodes))
         if len(qs) == 1:
             q = qs[0]
         else:
@@ -123,24 +123,19 @@ def chained_characteristic(spec: ProblemSpec, lam) -> tuple:
 
 
 def chained_weighted_norm(spec: ProblemSpec, lam: float) -> float:
-    """``int w y^2``: ``norm_kernels`` and a ``TransferMatrix`` per constant
-    piece; per tabulated piece, the Lagrange identity on the
-    lambda-derivative carried through the Magnus steps of ``stretches``."""
+    """``int w y^2``: per piece, the Lagrange identity on the
+    lambda-derivative carried from ``(0, 0)`` through the piece's
+    ``stretches``."""
     y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
     total = 0.0
     for piece in spec.pieces:
         w = piece.w
-        if piece.has_constant_q:
-            icc, ics, iss = norm_kernels(lam * w + piece.q, piece.length)
-            total += w * (y * y * icc + 2.0 * y * yp * ics + yp * yp * iss)
-            y, yp = transfer_across(piece, lam).apply(y, yp)
-            continue
         u, up = 0.0, 0.0
-        for e11, e12, e21, e22, c, s, h, k2, d, z, _, _ in stretches(
+        for e11, e12, e21, e22, c, s, h, k2, d, z, _, length in stretches(
                 piece, lam, piece.x0, piece.x1):
             dz = h * h * w
-            dc = -0.5 * s * dz
-            ds = _ds_dz(c, s, z) * dz
+            dc = -0.5 * length * s * dz
+            ds = _ds_dz(c, s, z, length) * dz
             u, up = (e11 * u + e12 * up + (dc + ds * d) * y + ds * h * yp,
                      e21 * u + e22 * up - (ds * k2 + s * w) * h * y
                      + (dc - ds * d) * yp)
@@ -162,6 +157,22 @@ class TestInlineStep:
         assert characteristic_scaled(spec, z) == chained_characteristic(
             spec, z)
         assert weighted_norm(spec, lam) == chained_weighted_norm(spec, lam)
+
+    @given(mixed_problems(max_nodes=1), st.one_of(
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.floats(min_value=-0.05, max_value=0.05)),
+        st.floats(min_value=0.0, max_value=1.0))
+    def test_constant_norms_match_the_kernel_integrals(self, spec, lam, frac):
+        # A solution that enters an evanescent piece near its decaying mode
+        # makes y' u - y u' cancel: the worst of 20 000 such draws is 1.2e-10
+        # of int |w| y^2 against a 60-digit reference (the kernel-integral
+        # quadratic form, 2.3e-10), hence the bound 1e-9.
+        signed, absolute = kernel_weighted_norm(spec, lam)
+        assert abs(weighted_norm(spec, lam) - signed) <= 1e-9 * absolute
+        x_hi = min(spec.a + frac * (spec.b - spec.a), spec.b)
+        signed, absolute = kernel_weighted_norm(spec, lam, x_hi)
+        assert abs(weighted_partial(spec, lam, x_hi) - signed) <= \
+            1e-9 * absolute
 
     def test_constant_pieces_make_no_transfer_call(self, monkeypatch,
                                                    one_tp_m10, app_spec):
