@@ -20,9 +20,10 @@ potential is flat, and its error falls as ``h^4`` without growing with
 constant piece is one stretch, a tabulated piece its Magnus steps, each a
 flow ``C(z, tau) I + S(z, tau) Omega``.  Zero counts, weighted norms and
 transfer matrices are folds over it; only ``characteristic_scaled``, the
-hottest loop, crosses constant pieces with the same arithmetic inline.  A
-weighted norm comes from the Lagrange identity on the lambda-derivative of
-``(y, y')``, which every stretch carries in closed form.
+hottest loop, crosses constant pieces with the same arithmetic inline.
+Every stretch carries the lambda-derivative of ``(y, y')`` in closed form,
+and one fold, :func:`_lambda_fold`, takes both its uses from it: the weighted
+norm by the Lagrange identity, and the exact ``D'`` that Newton reads at ``b``.
 """
 
 from __future__ import annotations
@@ -338,16 +339,31 @@ def weighted_norm(spec: ProblemSpec, lam: complex | float) -> float:
 
 @lambda_entry
 def weighted_partial(spec: ProblemSpec, lam: float, x_hi: float) -> float:
-    """``int_a^{x_hi} w y^2 dx`` for the left solution, a fold over
-    :func:`stretches`: every stretch carries the lambda-derivative
-    ``(u, u')`` of ``(y, y')`` from ``(0, 0)`` at its piece's start, and the
-    Lagrange identity ``(y' u - y u')' = w y^2`` integrates each piece at its
-    end."""
+    """``int_a^{x_hi} w y^2 dx`` for the left solution at real ``lambda``,
+    the norm of :func:`_lambda_fold`."""
     lam = _require_real(lam, "weighted_partial")
     if not (spec.a <= x_hi <= spec.b):
         raise InvalidProblemError(
             f"x_hi={x_hi!r} outside the interval [{spec.a!r}, {spec.b!r}]")
+    total = _lambda_fold(spec, lam, x_hi)[4]
+    if not (abs(total) < math.inf):
+        raise overflow_failure(lam)
+    return total
+
+
+@lambda_entry
+def _lambda_fold(spec: ProblemSpec, lam: Scalar, x_hi: float
+                 ) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar, float]:
+    """``(y, y', dy/dlambda, dy'/dlambda, int_a^{x_hi} w y^2, scale)`` of
+    the left solution at ``x_hi``, real or complex ``lambda``: one fold over
+    :func:`stretches`.  Every stretch carries the lambda-derivative ``(u, u')``
+    from ``(0, 0)`` at its piece's start; the Lagrange identity
+    ``(y' u - y u')' = w y^2`` integrates each piece at its end, where the
+    derivative from ``a``, moved through the stretches by their flows ``e``,
+    takes in ``(u, u')``.  ``scale`` is :func:`characteristic_scaled`'s."""
     y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
+    scale = max(1.0, abs(y) + abs(yp))
+    gu, gup = 0.0, 0.0
     total = 0.0
     for piece in spec.pieces:
         if piece.x0 >= x_hi:
@@ -363,8 +379,9 @@ def weighted_partial(spec: ProblemSpec, lam: float, x_hi: float) -> float:
             u, up = (e11 * u + e12 * up + (dc + ds * d) * y + ds * h * yp,
                      e21 * u + e22 * up - (ds * k2 + s * w) * h * y
                      + (dc - ds * d) * yp)
+            gu, gup = e11 * gu + e12 * gup, e21 * gu + e22 * gup
             y, yp = e11 * y + e12 * yp, e21 * y + e22 * yp
         total += yp * u - y * up
-    if not (abs(total) < math.inf):
-        raise overflow_failure(lam)
-    return total
+        gu, gup = gu + u, gup + up
+        scale = max(scale, abs(y) + abs(yp))
+    return y, yp, gu, gup, total, scale

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 from .coefficients import ProblemSpec
 from .errors import (ContourError, InvalidProblemError, NumericalFailure,
                      lambda_entry, overflow_failure)
-from .propagator import (_require_real, cs_kernels, stretches,
+from .propagator import (_lambda_fold, _require_real, cs_kernels, stretches,
                          transfer_across, weighted_norm)
 
 __all__ = [
@@ -88,23 +88,6 @@ def characteristic(spec: ProblemSpec, lam: complex | float) -> complex | float:
 # ---------------------------------------------------------------------------
 # Interior zeros of the left solution
 # ---------------------------------------------------------------------------
-
-def _bisect_zero(f: Callable[[float], float], t0: float, t1: float,
-                 f0: float, f1: float, xtol: float) -> float:
-    """Plain bisection for a bracketed sign change."""
-    while t1 - t0 > xtol:
-        tm = 0.5 * (t0 + t1)
-        if tm <= t0 or tm >= t1:
-            break
-        fm = f(tm)
-        if fm == 0.0:
-            return tm
-        if (f0 < 0.0) != (fm < 0.0):
-            t1, f1 = tm, fm
-        else:
-            t0, f0 = tm, fm
-    return 0.5 * (t0 + t1)
-
 
 def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
                    v: float, y1: float, x0: float, unit: float,
@@ -293,33 +276,38 @@ def _refine_bracket(f: Callable[[float], float], x0: float, x1: float,
     return (x0, g0) if abs(g0) <= abs(g1) else (x1, g1)
 
 
-def _newton_polish(spec: ProblemSpec, lam: float
-                   ) -> tuple[float, float, float]:
-    """Drive a real root of ``D`` to the floating-point floor.  Returns the
-    best ``(lambda, |D|, scale)`` visited."""
+def _d_and_slope(spec: ProblemSpec, lam: complex | float
+                 ) -> tuple[complex | float, complex | float, float]:
+    """``(D, D', scale)`` at ``lam`` from one :func:`_lambda_fold` to ``b``:
+    ``D' = dy/dlambda cos(beta) + dy'/dlambda sin(beta)``."""
+    y, yp, u, up, _, scale = _lambda_fold(spec, lam, spec.b)
+    cb, sb = math.cos(spec.beta), math.sin(spec.beta)
+    d, dp = y * cb + yp * sb, u * cb + up * sb
+    if not (scale < math.inf and abs(dp) < math.inf and d == d):
+        raise overflow_failure(lam)
+    return d, dp, scale
+
+
+def _newton_polish(spec: ProblemSpec, lam: complex | float
+                   ) -> tuple[complex | float, float, float]:
+    """Drive a root of ``D``, real or complex, to the floating-point floor
+    by Newton on the exact ``D'``.  Returns the best ``(lambda, |D|,
+    scale)`` visited."""
     best_lam, best_res, best_scale = lam, float("inf"), 1.0
-    x = lam
-    for _ in range(40):
-        d, scale = characteristic_scaled(spec, x)
+    x, step = lam, math.inf
+    for _ in range(60):
+        d, dp, scale = _d_and_slope(spec, x)
         res = abs(d)
         if res < best_res:
             best_lam, best_res, best_scale = x, res, scale
-        if res <= 32.0 * _EPS * scale:
-            break
-        h = 1.5e-8 * max(1.0, abs(x))
-        dp = (characteristic(spec, x + h) - characteristic(spec, x - h)) / (2.0 * h)
-        if dp == 0.0:
+        if (res <= 32.0 * _EPS * scale or dp == 0.0
+                or abs(step) <= 4.0 * _EPS * max(1.0, abs(x))):
             break
         step = -d / dp
-        cap = 0.25 * max(1.0, abs(x))
+        cap = 0.5 * max(1.0, abs(x))
         if abs(step) > cap:
-            step = math.copysign(cap, step)
+            step *= cap / abs(step)
         x = x + step
-        if abs(step) <= 4.0 * _EPS * max(1.0, abs(x)):
-            d, scale = characteristic_scaled(spec, x)
-            if abs(d) < best_res:
-                best_lam, best_res, best_scale = x, abs(d), scale
-            break
     return best_lam, best_res, best_scale
 
 
@@ -379,18 +367,15 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
     def probe_flat_minimum(x0: float, x1: float) -> None:
         """Cell at maximum refinement that still dips: check for a genuine
         double root via a critical point of D."""
-        h = (x1 - x0) / 8.0
-        if h <= 0.0:
-            return
 
         def dprime(x: float) -> float:
-            return (dval(x + h) - dval(x - h)) / (2.0 * h)
+            return _d_and_slope(spec, x)[1]
 
         p0, p1 = dprime(x0), dprime(x1)
         if p0 == 0.0 or p1 == 0.0 or (p0 < 0.0) == (p1 < 0.0):
             return
-        xc = _bisect_zero(dprime, x0, x1, p0, p1,
-                          4.0 * _EPS * max(1.0, abs(x0), abs(x1)))
+        xc, _ = _refine_bracket(dprime, x0, x1, p0, p1,
+                                4.0 * _EPS * max(1.0, abs(x0), abs(x1)))
         if abs(dval(xc)) <= 1e-11:
             emit(xc)
 
@@ -562,12 +547,7 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
     records = []
     warnings: list[str] = []
     for r in roots:
-        d, scale = characteristic_scaled(spec, r)
-        records.append(EigenRecord(
-            re_lambda=r, im_lambda=0.0,
-            zeros_in_ab=count_zeros(spec, r),
-            weighted_norm=weighted_norm(spec, r),
-            residual=abs(d)))
+        records.append(_real_record(spec, r))
         for edge in (lo, hi):
             if abs(r - edge) <= 100.0 * tol * max(1.0, abs(edge)):
                 warnings.append(
@@ -589,6 +569,13 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
 
 def _scan_chunk_star(args: tuple) -> list[float]:
     return _scan_chunk(*args)
+
+
+def _real_record(spec: ProblemSpec, lam: float) -> EigenRecord:
+    """A real root's record: zero count, weighted norm and ``|D|``."""
+    d, _ = characteristic_scaled(spec, lam)
+    return EigenRecord(lam, 0.0, count_zeros(spec, lam),
+                       weighted_norm(spec, lam), abs(d))
 
 
 # ---------------------------------------------------------------------------
@@ -703,35 +690,6 @@ def _safe_split(spec: ProblemSpec, lo: float, hi: float,
     return good + risky
 
 
-def _newton_polish_complex(spec: ProblemSpec, z0: complex
-                           ) -> tuple[complex, float]:
-    best_z, best_res = z0, float("inf")
-    z = z0
-    for _ in range(60):
-        d, scale = characteristic_scaled(spec, z)
-        dc = complex(d)
-        res = abs(dc)
-        if res < best_res:
-            best_z, best_res = z, res
-        if res <= 32.0 * _EPS * scale:
-            break
-        h = 1e-6 * max(1.0, abs(z))
-        dp = (complex(characteristic(spec, z + h))
-              - complex(characteristic(spec, z - h))) / (2.0 * h)
-        if dp == 0.0:
-            break
-        step = -dc / dp
-        if abs(step) > 0.5 * max(1.0, abs(z)):
-            step *= 0.5 * max(1.0, abs(z)) / abs(step)
-        z = z + step
-        if abs(step) <= 4.0 * _EPS * max(1.0, abs(z)):
-            d2, _ = characteristic_scaled(spec, z)
-            if abs(complex(d2)) < best_res:
-                best_z, best_res = z, abs(complex(d2))
-            break
-    return best_z, best_res
-
-
 def find_complex_eigenvalues(spec: ProblemSpec,
                              rect: tuple[tuple[float, float], tuple[float, float]],
                              tol: float = 1e-9) -> list[EigenRecord]:
@@ -794,13 +752,13 @@ def find_complex_eigenvalues(spec: ProblemSpec,
                 f"rectangle subdivision exceeded depth 60 near {r.center!r}")
         cen = r.center
         if w == 1:
-            z, res = _newton_polish_complex(spec, cen)
+            z = _newton_polish(spec, cen)[0]
             if r.contains(z, slack=1e-12 * max(1.0, abs(z))):
                 roots.append(z)
                 continue
             # Newton left the rectangle: fall through to subdivision.
         if r.diam <= max(4.0 * tol, 1e-11) * max(1.0, abs(cen)):
-            z, res = _newton_polish_complex(spec, cen)
+            z = _newton_polish(spec, cen)[0]
             roots.append(z if r.contains(z, slack=r.diam) else cen)
             continue
         wide = (r.re_hi - r.re_lo) >= (r.im_hi - r.im_lo)
@@ -895,15 +853,11 @@ def find_complex_eigenvalues(spec: ProblemSpec,
         if key in seen:
             continue
         seen.add(key)
-        d, scale = characteristic_scaled(spec, z if z.imag != 0.0 else z.real)
         if z.imag == 0.0:
-            records.append(EigenRecord(z.real, 0.0,
-                                       count_zeros(spec, z.real),
-                                       weighted_norm(spec, z.real),
-                                       abs(complex(d))))
+            records.append(_real_record(spec, z.real))
         else:
-            records.append(EigenRecord(z.real, z.imag, None, None,
-                                       abs(complex(d))))
+            d, _ = characteristic_scaled(spec, z)
+            records.append(EigenRecord(z.real, z.imag, None, None, abs(d)))
     return records
 
 

@@ -30,11 +30,12 @@ from slindef import (
     weighted_norm,
 )
 from slindef import propagator, spectrum
-from slindef.propagator import (_ds_dz, solution_at, stretches,
-                                transfer_across)
+from slindef.propagator import (_ds_dz, _lambda_fold, solution_at,
+                                stretches, transfer_across)
 from slindef.richardson import weighted_partial
-from slindef.spectrum import (_empirical_indices, _refine_bracket,
-                              _thread_count, characteristic_scaled)
+from slindef.spectrum import (_EPS, _d_and_slope, _empirical_indices,
+                              _newton_polish, _refine_bracket, _thread_count,
+                              characteristic_scaled)
 
 from oracles import dense_zero_count, ivp_characteristic, kernel_weighted_norm
 
@@ -195,6 +196,63 @@ class TestInlineStep:
                 count_zeros(spec, lam)
             characteristic_scaled(spec, complex(5.0, 2.0))
         assert calls == []
+
+
+class TestExactSlope:
+    """``D'`` from the lambda-derivative the norm fold carries to ``b``."""
+
+    @given(mixed_problems(), st.floats(min_value=-300.0, max_value=300.0))
+    def test_matches_the_complex_step(self, spec, lam):
+        # Im D(lam + i h) / h is D' to rounding, for h far below eps * |lam|
+        # (Squire and Trapp, SIAM Rev. 1998)
+        h = 1e-30
+        want = characteristic_scaled(spec, complex(lam, h))[0].imag / h
+        assert abs(_d_and_slope(spec, lam)[1] - want) <= 1e-10 * abs(want)
+
+    @given(mixed_problems(), st.floats(min_value=-300.0, max_value=300.0),
+           st.floats(min_value=-30.0, max_value=30.0))
+    def test_matches_a_central_difference_at_complex_lambda(self, spec, lam,
+                                                            im):
+        z = complex(lam, im)
+        h = 1e-6 * max(1.0, abs(z))
+        want = (characteristic(spec, z + h)
+                - characteristic(spec, z - h)) / (2.0 * h)
+        assert abs(_d_and_slope(spec, z)[1] - want) <= 1e-6 * abs(want)
+
+    @given(mixed_problems(), st.floats(min_value=-100.0, max_value=100.0))
+    def test_lagrange_identity_at_b(self, spec, lam):
+        # int_a^b w y^2 = y'(b) dy/dlambda(b) - y(b) dy'/dlambda(b), to a
+        # bound on int |w| y^2, the sum of the pieces' |int w y^2|
+        y, yp, u, up, _, _ = _lambda_fold(spec, lam, spec.b)
+        ends = [0.0] + [weighted_partial(spec, lam, p.x1)
+                        for p in spec.pieces]
+        absolute = sum(abs(b - a) for a, b in zip(ends, ends[1:]))
+        assert abs(yp * u - y * up - weighted_norm(spec, lam)) <= \
+            1e-9 * absolute
+
+
+class TestNewton:
+    """One Newton on the exact ``D'`` polishes real and complex roots."""
+
+    # At -41.58 one ulp of lambda moves D by 9.7e-14, more than
+    # 32 eps * scale: Newton lands on the float nearest the root,
+    # |D| = 4.3e-14, and stops because its next step rounds away.
+    @pytest.mark.parametrize("root", ONE_TP_M10_EIGS[1:])
+    def test_real_start(self, one_tp_m10, root):
+        lam, res, scale = _newton_polish(one_tp_m10, root + 1e-3)
+        assert isinstance(lam, float)
+        assert res <= 32.0 * _EPS * scale
+        assert lam == pytest.approx(root, rel=1e-12)
+
+    @pytest.mark.parametrize("sign_re, sign_im",
+                             [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_complex_start(self, one_tp_p13, sign_re, sign_im):
+        re0, im0 = ONE_TP_P13_PAIR
+        root = complex(sign_re * re0, sign_im * im0)
+        lam, res, scale = _newton_polish(one_tp_p13,
+                                         root + complex(1e-3, -1e-3))
+        assert res <= 32.0 * _EPS * scale
+        assert abs(lam - root) <= 1e-12 * abs(root)
 
 
 # --------------------------------------------------------------------------
@@ -364,6 +422,33 @@ class TestRealScan:
         res = find_real_eigenvalues(one_turning_point(q0), (-60.0, 60.0), 1e-9)
         assert res.records
         assert len(calls) <= 2 * len(res.records)
+
+    def test_flat_minimum_probe(self, monkeypatch):
+        # one_tp(pi^2/4) has a double root at 0, D ~ lambda^2: no sign change
+        # and no count jump.  The window puts 0 a third of the way into a
+        # lattice cell, so every halving keeps the dip of |D| inside a cell
+        # down to the probe, which brackets D' = 0 and emits the root there.
+        # Pushed off the axis, the pair leaves the same dip and no root.
+        brackets = []
+        refine = spectrum._refine_bracket
+
+        def traced(f, *args):
+            out = refine(f, *args)
+            brackets.append((f.__name__, out[0]))
+            return out
+
+        monkeypatch.setattr(spectrum, "_refine_bracket", traced)
+        window = (-18.25, 17.75)
+        res = find_real_eigenvalues(one_turning_point(PI2 / 4.0), window, 1e-4)
+        assert [name for name, _ in brackets] == ["dprime"]
+        assert abs(brackets[0][1]) <= 1e-12
+        assert [r.zeros_in_ab for r in res.records] == [0]
+        assert abs(res.records[0].re_lambda) <= 1e-6
+        brackets.clear()
+        res = find_real_eigenvalues(one_turning_point(PI2 / 4.0 + 1e-6),
+                                    window, 1e-4)
+        assert [name for name, _ in brackets] == ["dprime"]
+        assert res.records == ()
 
     def test_classical_spectrum(self, classical_spec):
         res = find_real_eigenvalues(classical_spec, (1.0, 100.0), 1e-9)
