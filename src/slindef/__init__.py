@@ -22,8 +22,8 @@ from .coefficients import (Piece, PiecewiseCoefficient, ProblemSpec,
 from .errors import (ContourError, DriftUndefined, EmptyWindowError,
                      HypothesisViolation, InvalidProblemError,
                      NumericalFailure, SlindefError)
-from .propagator import (StateVector, TransferMatrix, cs_kernels,
-                         piece_transfer, propagate, solution_at)
+from .propagator import (StateVector, TransferMatrix, cs_kernels, propagate,
+                         solution_at)
 from .spectrum import (EigenRecord, ScanResult, characteristic, count_zeros,
                        find_complex_eigenvalues, find_real_eigenvalues,
                        interior_zeros, records_to_csv, scan_to_csv,
@@ -48,8 +48,8 @@ __all__ = [
     "ContourError", "DriftUndefined", "EmptyWindowError",
     "HypothesisViolation", "InvalidProblemError", "NumericalFailure",
     "SlindefError",
-    "StateVector", "TransferMatrix", "cs_kernels", "piece_transfer",
-    "propagate", "solution_at",
+    "StateVector", "TransferMatrix", "cs_kernels", "propagate",
+    "solution_at",
     "EigenRecord", "ScanResult", "characteristic", "count_zeros",
     "find_complex_eigenvalues", "find_real_eigenvalues", "interior_zeros",
     "records_to_csv", "scan_to_csv", "scan_to_json",

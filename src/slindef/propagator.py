@@ -41,7 +41,6 @@ __all__ = [
     "StateVector",
     "TransferMatrix",
     "cs_kernels",
-    "piece_transfer",
     "propagate",
     "solution_at",
     "stretches",
@@ -145,15 +144,6 @@ class TransferMatrix:
             self.m21 * other.m11 + self.m22 * other.m21,
             self.m21 * other.m12 + self.m22 * other.m22,
             other.x0, self.x1)
-
-
-def piece_transfer(k2: Scalar, length: float,
-                   x0: float = 0.0) -> TransferMatrix:
-    """Transfer matrix across a constant-coefficient stretch of ``length``."""
-    if length < 0.0:
-        raise InvalidProblemError(f"length must be nonnegative, got {length!r}")
-    c, s = cs_kernels(k2, length)
-    return TransferMatrix(c, s, -k2 * s, c, x0, x0 + length)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ rely on eigenvalue interlacing, so it combines three independent signals on a
 refinable grid: sign changes of ``D``, jumps of the interior-zero count of the
 left solution (with Dirichlet data at ``b`` these jump exactly at
 eigenvalues), and dips of ``|D|`` that flag nearly coincident or genuinely
-double roots.  Complex eigenvalues are found by argument-principle winding
-counts over rectangle boundaries with recursive subdivision and Newton
-polishing; conjugation symmetry of returned pairs is enforced exactly for
+double roots.  Complex eigenvalues are counted inside rectangles by the
+argument principle, integrating ``D'/D`` along the boundary by adaptive
+Gauss-Legendre; boxes are split until each holds one root, which Newton
+polishes.  Conjugation symmetry of returned pairs is enforced exactly for
 conjugation-symmetric rectangles.
 """
 
@@ -326,16 +327,11 @@ def _detection_grid(spec: ProblemSpec, lo: float, hi: float,
 
 
 def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
-                refine: int = 1, grid: list[float] | None = None
-                ) -> list[float]:
+                grid: list[float]) -> list[float]:
     """Locate real eigenvalues in ``[lo, hi]`` (may return near-duplicates
-    at chunk edges; the caller merges).  ``refine`` multiplies the detection
-    grid density; results must be stable under refinement.  ``grid`` lets a
-    parallel driver hand every worker its slice of one shared lattice, so
-    the found set is identical for any worker count."""
-    if grid is None:
-        grid = _detection_grid(spec, lo, hi, refine)
-
+    at chunk edges; the caller merges).  ``grid`` is this chunk's slice of
+    the one detection lattice all workers share, so the found set is
+    identical for any worker count."""
     d_cache: dict[float, float] = {}
     c_cache: dict[float, int] = {}
 
@@ -528,18 +524,18 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
     n_cells = len(nodes) - 1
     threads = _thread_count(n_cells)
     if threads == 1:
-        raw_roots = _scan_chunk(spec, lo, hi, tol, refine, nodes)
+        raw_roots = _scan_chunk(spec, lo, hi, tol, nodes)
     else:
         bounds = [round(j * n_cells / threads) for j in range(threads + 1)]
         jobs = []
         for b0, b1 in zip(bounds, bounds[1:]):
             if b1 > b0:
-                jobs.append((spec, nodes[b0], nodes[b1], tol, refine,
+                jobs.append((spec, nodes[b0], nodes[b1], tol,
                              nodes[b0:b1 + 1]))
         from concurrent.futures import ProcessPoolExecutor
         raw_roots = []
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_scan_chunk_star, jobs):
+            for part in pool.map(_scan_chunk, *zip(*jobs)):
                 raw_roots.extend(part)
 
     roots = _merge_roots(raw_roots, tol)
@@ -565,10 +561,6 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
     return ScanResult(window=(lo, hi), tol=tol, records=tuple(records),
                       n_r_empirical=n_r, n_h_empirical=n_h,
                       warnings=tuple(warnings))
-
-
-def _scan_chunk_star(args: tuple) -> list[float]:
-    return _scan_chunk(*args)
 
 
 def _real_record(spec: ProblemSpec, lam: float) -> EigenRecord:
@@ -603,91 +595,103 @@ class _Rect:
                 and self.im_lo - slack <= z.imag <= self.im_hi + slack)
 
 
-def _wrap_angle(x: float) -> float:
-    while x > math.pi:
-        x -= 2.0 * math.pi
-    while x <= -math.pi:
-        x += 2.0 * math.pi
-    return x
+def _symmetric_rule(half: tuple[tuple[float, float], ...]
+                    ) -> tuple[tuple[float, float], ...]:
+    return tuple((-x, w) for x, w in reversed(half) if x) + half
 
 
-# Samples one contour edge may take before its phase counts as unresolved.
-_EDGE_MAX_POINTS = 4096
+# Gauss-Legendre nodes and weights on [-1, 1], from the nonnegative nodes
+# (Abramowitz and Stegun, table 25.4).
+_GAUSS5 = _symmetric_rule((
+    (0.0, 0.568888888888888888888889),
+    (0.538469310105683091036314, 0.478628670499366468041292),
+    (0.906179845938663992797627, 0.236926885056189087514264)))
+_GAUSS10 = _symmetric_rule((
+    (0.148874338981631210884826, 0.295524224714752870173893),
+    (0.433395394129247190799266, 0.269266719309996355091226),
+    (0.679409568299024406234327, 0.219086362515982043995535),
+    (0.865063366688984510732097, 0.149451349150580593145776),
+    (0.973906528517171720077964, 0.066671344308688137593568)))
 
 
-def _edge_phase_change(spec: ProblemSpec, z0: complex, z1: complex,
-                       max_jump: float) -> float:
-    """Change of the phase of ``D`` along the straight edge ``z0 -> z1``,
-    sampled more finely where consecutive phases jump past ``max_jump``."""
+class _ArgumentCount:
+    """Zero counts of ``D`` inside rectangles by the argument principle:
+    the contour integral of ``D'/D`` over ``2 pi i``, with the exact ``D'``
+    of :func:`_d_and_slope` (Delves and Lyness, Math. Comp. 1967).
 
-    def phase(t: float) -> float:
-        z = z0 + t * (z1 - z0)
-        d, scale = characteristic_scaled(spec, z)
-        dc = complex(d)
-        if abs(dc) <= 1e3 * _EPS * scale:
-            raise ContourError(
-                f"characteristic function vanishes on the contour near {z!r}")
-        return cmath.phase(dc)
+    Each edge is integrated by adaptive Gauss-Legendre.  A segment is
+    accepted when its 10- and 5-point rules agree to 0.1 and no node lies
+    within a tenth of the segment's length of a root by its Newton distance
+    ``|D / D'|``; it is halved otherwise, and a segment still refused after
+    20 halvings raises :class:`ContourError`.  An accepted segment turns
+    ``arg D`` by ``arg D(z1) - arg D(z0) + 2 pi m``, with ``m`` the branch
+    its integral picks, so a closed contour's turns sum to an exact multiple
+    of ``2 pi``.  Turns are cached by their ends: the line a split shares
+    between two halves is integrated once.
+    """
 
-    ts = [i / 16.0 for i in range(17)]
-    args = [phase(t) for t in ts]
-    i = 0
-    while i < len(ts) - 1:
-        jump = _wrap_angle(args[i + 1] - args[i])
-        if abs(jump) > max_jump:
-            if len(ts) >= _EDGE_MAX_POINTS:
-                raise ContourError(
-                    f"cannot resolve the phase of D along the contour edge "
-                    f"{z0!r} -> {z1!r}")
-            tm = 0.5 * (ts[i] + ts[i + 1])
-            ts.insert(i + 1, tm)
-            args.insert(i + 1, phase(tm))
-            continue
-        i += 1
-    total = 0.0
-    for a0, a1 in zip(args, args[1:]):
-        total += _wrap_angle(a1 - a0)
-    return total
+    def __init__(self, spec: ProblemSpec) -> None:
+        self.spec = spec
+        self.turns: dict[tuple[complex, complex], float] = {}
+        self.phases: dict[complex, float] = {}
 
-
-def _winding_number(spec: ProblemSpec, rect: _Rect) -> int:
-    corners = [complex(rect.re_lo, rect.im_lo), complex(rect.re_hi, rect.im_lo),
-               complex(rect.re_hi, rect.im_hi), complex(rect.re_lo, rect.im_hi)]
-    for max_jump in (0.5 * math.pi, 0.25 * math.pi):
-        total = 0.0
-        for z0, z1 in zip(corners, corners[1:] + corners[:1]):
-            total += _edge_phase_change(spec, z0, z1, max_jump)
+    def count(self, rect: _Rect) -> int:
+        corners = [complex(rect.re_lo, rect.im_lo),
+                   complex(rect.re_hi, rect.im_lo),
+                   complex(rect.re_hi, rect.im_hi),
+                   complex(rect.re_lo, rect.im_hi)]
+        total = sum(self.turn(z0, z1) for z0, z1 in
+                    zip(corners, corners[1:] + corners[:1]))
         w = round(total / (2.0 * math.pi))
-        if abs(total / (2.0 * math.pi) - w) <= 0.2:
-            if w < 0:
+        if w < 0:
+            raise ContourError(
+                f"negative winding number {w} over {rect!r}; the "
+                f"characteristic function should be analytic")
+        return w
+
+    def turn(self, z0: complex, z1: complex, depth: int = 0) -> float:
+        """Change of ``arg D`` along the straight segment ``z0 -> z1``."""
+        if (z1, z0) in self.turns:
+            return -self.turns[(z1, z0)]
+        if (z0, z1) not in self.turns:
+            mid, half = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
+            reach = 0.1 * abs(z1 - z0)
+            fine = self._rule(_GAUSS10, mid, half, reach)
+            coarse = None if fine is None else \
+                self._rule(_GAUSS5, mid, half, reach)
+            if coarse is not None and abs(fine - coarse) <= 0.1:
+                jump = self._phase(z1) - self._phase(z0)
+                turn = jump + 2.0 * math.pi * round(
+                    (fine.imag - jump) / (2.0 * math.pi))
+            elif depth == 20:
                 raise ContourError(
-                    f"negative winding number {w} over {rect!r}; the "
-                    f"characteristic function should be analytic")
-            return int(w)
-    raise ContourError(f"winding number did not stabilize over {rect!r}")
+                    f"a root of the characteristic function lies on or "
+                    f"next to the contour near {mid!r}")
+            else:
+                zm = complex(0.5 * (z0.real + z1.real),
+                             0.5 * (z0.imag + z1.imag))
+                turn = self.turn(z0, zm, depth + 1) + \
+                    self.turn(zm, z1, depth + 1)
+            self.turns[(z0, z1)] = turn
+        return self.turns[(z0, z1)]
 
+    def _rule(self, rule: tuple[tuple[float, float], ...], mid: complex,
+              half: complex, reach: float) -> complex | None:
+        """The integral of ``D'/D`` over ``mid + half * [-1, 1]`` by
+        ``rule``, or ``None`` once a node's Newton distance is below
+        ``reach``."""
+        total = 0.0
+        for x, weight in rule:
+            d, dp, _ = _d_and_slope(self.spec, mid + x * half)
+            if d == 0.0 or reach * abs(dp) > abs(d):
+                return None
+            total += weight * dp / d
+        return total * half
 
-def _safe_split(spec: ProblemSpec, lo: float, hi: float,
-                along_re: bool, other_lo: float, other_hi: float
-                ) -> list[float]:
-    """Candidate split coordinates, those whose lines avoid near-zeros of
-    ``D`` (by a coarse probe) first.  The caller retries down the list when a
-    root turns out to sit on the chosen line anyway."""
-    mid = 0.5 * (lo + hi)
-    good: list[float] = []
-    risky: list[float] = []
-    for shift in (0.0, 0.025, -0.025, 0.05, -0.05, 0.1, -0.1):
-        cand = mid + shift * (hi - lo)
-        ok = True
-        for j in range(9):
-            t = other_lo + (other_hi - other_lo) * j / 8.0
-            z = complex(cand, t) if along_re else complex(t, cand)
-            d, scale = characteristic_scaled(spec, z)
-            if abs(complex(d)) <= 1e-8 * scale:
-                ok = False
-                break
-        (good if ok else risky).append(cand)
-    return good + risky
+    def _phase(self, z: complex) -> float:
+        if z not in self.phases:
+            self.phases[z] = cmath.phase(complex(characteristic(self.spec, z)))
+        return self.phases[z]
 
 
 def find_complex_eigenvalues(spec: ProblemSpec,
@@ -695,11 +699,14 @@ def find_complex_eigenvalues(spec: ProblemSpec,
                              tol: float = 1e-9) -> list[EigenRecord]:
     """All eigenvalues inside a closed rectangle of the complex plane.
 
-    Uses boundary winding counts (argument principle) with recursive
-    subdivision and Newton polishing.  If the rectangle is symmetric about
-    the real axis the returned non-real roots come in exactly conjugate
-    pairs; roots within the numerical floor of the axis are snapped to real
-    and annotated like real-scan records.
+    Roots are counted by :class:`_ArgumentCount`; a box holding more than
+    one is cut across its longer side, at the middle or, when the cut
+    fails its own count by passing next to a root, 0.025, 0.05 or 0.1 of
+    the side away, and a box holding one is polished by Newton from its
+    centre.  A rectangle whose own edge passes next to a root is widened.
+    If the rectangle is symmetric about the real axis the returned non-real
+    roots come in exactly conjugate pairs; roots within the numerical floor
+    of the axis are snapped to real and annotated like real-scan records.
 
     ``rect`` is either ``((re_lo, re_hi), (im_lo, im_hi))`` or a mapping
     ``{"re": (lo, hi), "im": (lo, hi)}``.
@@ -722,11 +729,12 @@ def find_complex_eigenvalues(spec: ProblemSpec,
     base = _Rect(re_lo, re_hi, im_lo, im_hi)
     symmetric = abs(im_lo + im_hi) <= 1e-12 * max(1.0, im_hi - im_lo)
 
+    counter = _ArgumentCount(spec)
     outer = base
     nudge = 0.0
     for attempt in range(4):
         try:
-            w_total = _winding_number(spec, outer)
+            w_total = counter.count(outer)
             break
         except ContourError:
             if attempt == 3:
@@ -762,12 +770,11 @@ def find_complex_eigenvalues(spec: ProblemSpec,
             roots.append(z if r.contains(z, slack=r.diam) else cen)
             continue
         wide = (r.re_hi - r.re_lo) >= (r.im_hi - r.im_lo)
-        if wide:
-            cuts = _safe_split(spec, r.re_lo, r.re_hi, True, r.im_lo, r.im_hi)
-        else:
-            cuts = _safe_split(spec, r.im_lo, r.im_hi, False, r.re_lo, r.re_hi)
-        last_err: ContourError | None = None
-        for cut in cuts:
+        lo, hi = (r.re_lo, r.re_hi) if wide else (r.im_lo, r.im_hi)
+        last_err = None
+        # a cut through (or next to) a root fails its own count: try the next
+        for shift in (0.0, 0.025, -0.025, 0.05, -0.05, 0.1, -0.1):
+            cut = 0.5 * (lo + hi) + shift * (hi - lo)
             if wide:
                 r1 = _Rect(r.re_lo, cut, r.im_lo, r.im_hi)
                 r2 = _Rect(cut, r.re_hi, r.im_lo, r.im_hi)
@@ -775,10 +782,8 @@ def find_complex_eigenvalues(spec: ProblemSpec,
                 r1 = _Rect(r.re_lo, r.re_hi, r.im_lo, cut)
                 r2 = _Rect(r.re_lo, r.re_hi, cut, r.im_hi)
             try:
-                w1 = _winding_number(spec, r1)
-                w2 = _winding_number(spec, r2)
+                w1, w2 = counter.count(r1), counter.count(r2)
             except ContourError as err:
-                # a root sits on (or hugs) this split line; try the next one
                 last_err = err
                 continue
             if w1 + w2 != w:
@@ -790,8 +795,7 @@ def find_complex_eigenvalues(spec: ProblemSpec,
             stack.append((r2, w2, depth + 1))
             break
         else:
-            raise last_err if last_err is not None else ContourError(
-                f"no usable split line found for {r!r}")
+            raise last_err
 
     # Deduplicate, and drop anything the boundary nudge pulled in from
     # outside the requested rectangle.

@@ -1,11 +1,13 @@
 """Import layout: modules of the package import each other at the top of a
 file only, so the import graph has no cycle hidden inside a function, the
-test oracles take no private name from the package, and every name a
-module exports in ``__all__`` resolves."""
+package imports nothing but the standard library and itself, the test
+oracles take no private name from the package, and every name a module
+exports in ``__all__`` resolves."""
 
 import ast
 import importlib
 import pathlib
+import sys
 
 import slindef
 
@@ -36,6 +38,25 @@ def test_no_package_import_inside_a_function():
     found = [hit for path in paths for hit in function_local_package_imports(path)]
     # stdlib imports inside functions (concurrent.futures) stay allowed
     assert found == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    # pyproject.toml declares no runtime dependencies
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            foreign.extend(f"{path.name}:{node.lineno} {name}"
+                           for name in names
+                           if name.split(".")[0] not in
+                           sys.stdlib_module_names | {"slindef"})
+    assert foreign == []
 
 
 def test_oracles_use_no_private_package_name():

@@ -15,7 +15,6 @@ from slindef import (
     PiecewiseCoefficient,
     ProblemSpec,
     cs_kernels,
-    piece_transfer,
     propagate,
     solution_at,
 )
@@ -146,8 +145,8 @@ class TestKernelDerivative:
 
 class TestTransfer:
     def test_composition_requires_adjacency(self):
-        t1 = piece_transfer(4.0, 1.0, 0.0)
-        t2 = piece_transfer(-3.0, 1.0, 1.0)
+        t1 = transfer_across(Piece(0.0, 1.0, 1.0, 4.0), 0.0)
+        t2 = transfer_across(Piece(1.0, 2.0, 1.0, -3.0), 0.0)
         combined = t2 @ t1
         assert (combined.x0, combined.x1) == (0.0, 2.0)
         with pytest.raises(InvalidProblemError):
@@ -156,7 +155,7 @@ class TestTransfer:
     @given(st.floats(min_value=-1e4, max_value=1e4),
            st.floats(min_value=0.01, max_value=3.0))
     def test_unit_wronskian(self, k2, length):
-        m = piece_transfer(k2, length, 0.0)
+        m = transfer_across(Piece(0.0, length, 1.0, k2), 0.0)
         assert rel_det_defect(m) <= 1e-10
 
     @given(st.floats(min_value=-30.0, max_value=80.0))

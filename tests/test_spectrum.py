@@ -4,9 +4,10 @@ import json
 import math
 import os
 import pathlib
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slindef import (
@@ -57,6 +58,14 @@ APP_Q0_TABLE = [
     (28.23152921358738, 2, 547.5478910024092),
 ]
 ONE_TP_P13_PAIR = (9.873650871977397, 3.3114113699439454)
+
+# four constant pieces, q = 0, where |D'(0.25i)| is small against scale
+SMALL_SLOPE = ProblemSpec(PiecewiseCoefficient(tuple(
+    Piece(x0, x1, w, 0.0) for x0, x1, w in (
+        (1.0, 1.201171875, 1.671875),
+        (1.201171875, 1.4338599731944206, -0.390625),
+        (1.4338599731944206, 1.6369849731944206, -0.201171875),
+        (1.6369849731944206, 1.8369849731944206, -0.201171875)))))
 
 
 # --------------------------------------------------------------------------
@@ -211,13 +220,21 @@ class TestExactSlope:
 
     @given(mixed_problems(), st.floats(min_value=-300.0, max_value=300.0),
            st.floats(min_value=-30.0, max_value=30.0))
+    @example(SMALL_SLOPE, 0.0, 0.25)
     def test_matches_a_central_difference_at_complex_lambda(self, spec, lam,
                                                             im):
+        # the quotient carries D's rounding over h, up to eps * scale per
+        # stretch D is folded over: at SMALL_SLOPE, where |D'| is 7.8e-5 of
+        # scale, one eps * scale / h is 2.8e-6 of D', while quotients at
+        # h = 1e-3 and 1e-4 match D' to 3.5e-9
         z = complex(lam, im)
         h = 1e-6 * max(1.0, abs(z))
         want = (characteristic(spec, z + h)
                 - characteristic(spec, z - h)) / (2.0 * h)
-        assert abs(_d_and_slope(spec, z)[1] - want) <= 1e-6 * abs(want)
+        scale = characteristic_scaled(spec, z)[1]
+        n = sum(1 for p in spec.pieces for _ in stretches(p, z, p.x0, p.x1))
+        assert abs(_d_and_slope(spec, z)[1] - want) <= \
+            1e-6 * abs(want) + n * _EPS * scale / h
 
     @given(mixed_problems(), st.floats(min_value=-100.0, max_value=100.0))
     def test_lagrange_identity_at_b(self, spec, lam):
@@ -347,8 +364,9 @@ class TestZeroCounting:
 def tabulated_problems(draw):
     """Two unit pieces of either weight sign, one of them with a 3-6-node
     table, and a random boundary angle at a."""
+    # unique as 1 + t, so the second piece's nodes stay strictly increasing
     inner = draw(st.lists(st.floats(min_value=0.05, max_value=0.95),
-                          min_size=1, max_size=4, unique=True))
+                          min_size=1, max_size=4, unique_by=lambda t: 1.0 + t))
     qs = draw(st.lists(st.floats(min_value=-10.0, max_value=30.0),
                        min_size=len(inner) + 2, max_size=len(inner) + 2))
     tabulated = draw(st.sampled_from((0, 1)))
@@ -621,6 +639,60 @@ class TestComplexScan:
         assert {(re, -im) for re, im in as_set} == as_set
         # an even number of strictly complex roots
         assert len([r for r in out if not r.is_real]) % 2 == 0
+
+    def test_flat_box_round_the_real_roots(self, app_spec):
+        # the box's long edges pass 1 above and below the real roots
+        out = find_complex_eigenvalues(app_spec, {"re": (-60.3, 60.3),
+                                                  "im": (-1.0, 1.0)})
+        real = find_real_eigenvalues(app_spec, (-60.3, 60.3)).eigenvalues
+        assert len(real) == 8
+        assert all(r.is_real for r in out)
+        assert [r.re_lambda for r in out] == pytest.approx(real, rel=1e-12)
+
+    def test_edge_just_above_real_roots(self, app_spec):
+        # the bottom edge runs 1e-3 above the real roots -6.51 and -6.24
+        assert find_complex_eigenvalues(
+            app_spec, {"re": (-60.0, 60.0), "im": (1e-3, 60.0)}) == []
+
+    def test_one_root_in_a_wide_box(self):
+        out = find_complex_eigenvalues(one_turning_point(25.0),
+                                       {"re": (-60.0, 60.0),
+                                        "im": (1e-3, 60.0)})
+        assert len(out) == 1
+        assert out[0].re_lambda == pytest.approx(0.0, abs=1e-12)
+        assert out[0].im_lambda == pytest.approx(10.125122387922046,
+                                                 rel=1e-12)
+
+    def test_cut_through_a_conjugate_pair(self):
+        # D is real on the imaginary axis, and the first cut runs along it
+        # through +-3.6004i: their half-turns cancel, so the cut must fail
+        # its count, not split the box's 4 roots as 2 + 2
+        out = find_complex_eigenvalues(one_turning_point(8.55),
+                                       {"re": (-35.4, 35.4),
+                                        "im": (-16.5, 16.5)})
+        got = sorted((r.re_lambda, r.im_lambda) for r in out)
+        want = [(-19.2062, 0.0), (0.0, -3.6004), (0.0, 3.6004),
+                (19.2062, 0.0)]
+        assert len(got) == 4
+        for (gr, gi), (wr, wi) in zip(got, want):
+            assert gr == pytest.approx(wr, abs=1e-4)
+            assert gi == pytest.approx(wi, abs=1e-4)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_problems_count_every_box(self, seed):
+        # 2-4 constant pieces of 0.2-1 each; the bottom edge passes 1e-3
+        # above every real root in the window
+        rng = random.Random(seed)
+        xs = [0.0]
+        for _ in range(rng.randint(2, 4)):
+            xs.append(xs[-1] + rng.uniform(0.2, 1.0))
+        spec = ProblemSpec(PiecewiseCoefficient(tuple(
+            Piece(x0, x1, rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 3.0),
+                  rng.uniform(-20.0, 20.0)) for x0, x1 in zip(xs, xs[1:]))))
+        for r in find_complex_eigenvalues(spec, {"re": (-80.0, 80.0),
+                                                 "im": (1e-3, 80.0)}):
+            d, scale = characteristic_scaled(spec, r.lam)
+            assert abs(d) <= 1e-10 * scale
 
 
 # --------------------------------------------------------------------------
