@@ -28,8 +28,8 @@ from .spectrum import (EigenRecord, ScanResult, characteristic, count_zeros,
                        find_complex_eigenvalues, find_real_eigenvalues,
                        interior_zeros, records_to_csv, scan_to_csv,
                        scan_to_json)
-from .richardson import (RichardsonReport, drift_reference, richardson_numbers,
-                         weighted_norm, zero_drift)
+from .richardson import (RichardsonReport, richardson_numbers, weighted_norm,
+                         zero_drift)
 from .certificates import (BoundCertificate, DefinitenessReport,
                            DisconjugacyWitness, LemmaResult, TrailEntry,
                            bound_one_turning_point, certificate_to_dict,
@@ -53,8 +53,7 @@ __all__ = [
     "EigenRecord", "ScanResult", "characteristic", "count_zeros",
     "find_complex_eigenvalues", "find_real_eigenvalues", "interior_zeros",
     "records_to_csv", "scan_to_csv", "scan_to_json",
-    "RichardsonReport", "drift_reference", "richardson_numbers",
-    "weighted_norm", "zero_drift",
+    "RichardsonReport", "richardson_numbers", "weighted_norm", "zero_drift",
     "BoundCertificate", "DefinitenessReport", "DisconjugacyWitness",
     "LemmaResult", "TrailEntry", "bound_one_turning_point",
     "certificate_to_dict", "certificate_to_json", "certify_application",

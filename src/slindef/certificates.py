@@ -11,6 +11,7 @@ evidence that the scan results can be checked against.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -18,10 +19,10 @@ from typing import Sequence
 
 from .coefficients import (Piece, PiecewiseCoefficient, ProblemSpec,
                            application_problem)
-from .errors import HypothesisViolation, InvalidProblemError, NumericalFailure
+from .errors import HypothesisViolation, InvalidProblemError
 from .propagator import StateVector, states_on_grid, weighted_norm
-from .spectrum import (characteristic_scaled, count_zeros,
-                       find_real_eigenvalues, interior_zeros)
+from .spectrum import (_newton_polish, _refine_bracket, characteristic_scaled,
+                       count_zeros, interior_zeros)
 
 __all__ = [
     "TrailEntry",
@@ -595,34 +596,38 @@ def _unit_weight_spec(spec: ProblemSpec) -> ProblemSpec:
     return ProblemSpec(PiecewiseCoefficient(pieces), spec.alpha, spec.beta)
 
 
-def _lowest_unit_weight_eigenvalue(spec: ProblemSpec) -> float:
-    """Smallest eigenvalue of the same problem with ``w`` replaced by 1.
-    Its sign decides whether the energy form is positive definite."""
-    specL = _unit_weight_spec(spec)
-    length = spec.b - spec.a
-    q_sup = max(p.q_extremes()[1] for p in specL.pieces)
-    q_inf = min(p.q_extremes()[0] for p in specL.pieces)
-    guard = 0.0
-    for ang in (spec.alpha, spec.beta):
-        if math.sin(ang) > 0.0 and math.cos(ang) < 0.0:
-            cot = math.cos(ang) / math.sin(ang)
-            guard += cot * cot
-    lo = min(0.0, (math.pi / length) ** 2 - q_sup) - guard - 10.0
-    for _ in range(60):
-        d, _scale = characteristic_scaled(specL, lo)
-        if count_zeros(specL, lo) == 0 and d > 0.0:
-            break
-        lo -= 2.0 * max(1.0, abs(lo))
-    else:
-        raise NumericalFailure("cannot bracket the bottom of the unit-weight "
-                               "spectrum")
-    hi = 4.0 * (math.pi / length) ** 2 - q_inf + 10.0
-    for _ in range(6):
-        scan = find_real_eigenvalues(specL, (lo, hi), 1e-10)
-        if scan.records:
-            return scan.records[0].re_lambda
-        hi += (hi - lo)
-    raise NumericalFailure("no unit-weight eigenvalue found; cannot classify")
+def _lowest_unit_weight_eigenvalue(specL: ProblemSpec) -> float:
+    """Smallest eigenvalue ``lambda0`` of the unit-weight problem ``specL``;
+    its sign decides whether the energy form is positive definite.
+    ``specL`` is definite, so by Sturm oscillation ``lambda < lambda0``
+    exactly when the left solution has no interior zero and ``D > 0``: step
+    out to a bracket, bisect until ``hi`` is under the second eigenvalue
+    (``D(hi) < 0``, at most one zero), then refine and polish as the scan
+    does."""
+
+    @functools.cache
+    def dval(lam: float) -> float:
+        d, scale = characteristic_scaled(specL, lam)
+        return d / scale
+
+    @functools.cache
+    def below(lam: float) -> bool:
+        return dval(lam) > 0.0 and count_zeros(specL, lam) == 0
+
+    lo, hi = -1.0, 1.0
+    while not below(lo):
+        lo, hi = 3.0 * lo, lo
+    while below(hi):
+        lo, hi = hi, 3.0 * hi
+    while not (dval(hi) < 0.0 and count_zeros(specL, hi) <= 1):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # lo and hi are adjacent doubles
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    # the width the real scan refines a bracket to at tol = 1e-10
+    root, _ = _refine_bracket(dval, lo, hi, dval(lo), dval(hi),
+                              0.25e-10 * max(1.0, abs(lo), abs(hi)))
+    return _newton_polish(specL, root)[0]
 
 
 def classify_definiteness(spec: ProblemSpec) -> DefinitenessReport:
@@ -631,7 +636,8 @@ def classify_definiteness(spec: ProblemSpec) -> DefinitenessReport:
     nondefinite (both forms indefinite), with explicit numeric witnesses."""
     signs = set(spec.coeff.sign_pattern())
     orthogonal = len(signs) == 1
-    lambda0 = _lowest_unit_weight_eigenvalue(spec)
+    specL = _unit_weight_spec(spec)
+    lambda0 = _lowest_unit_weight_eigenvalue(specL)
     polar = lambda0 > 0.0
 
     witnesses: dict = {"lambda0": lambda0}
@@ -656,7 +662,6 @@ def classify_definiteness(spec: ProblemSpec) -> DefinitenessReport:
             "lowest_unit_weight_eigenvalue": lambda0,
         }
     else:
-        specL = _unit_weight_spec(spec)
         ground_norm = weighted_norm(specL, lambda0)
         witnesses["energy_form_negative_trial"] = {
             "trial": "ground eigenfunction of the unit-weight problem",

@@ -22,8 +22,8 @@ flow ``C(z, tau) I + S(z, tau) Omega``.  Zero counts, weighted norms and
 transfer matrices are folds over it; only ``characteristic_scaled``, the
 hottest loop, crosses constant pieces with the same arithmetic inline.
 Every stretch carries the lambda-derivative of ``(y, y')`` in closed form,
-and one fold, :func:`_lambda_fold`, takes both its uses from it: the weighted
-norm by the Lagrange identity, and the exact ``D'`` that Newton reads at ``b``.
+and one fold, :func:`_lambda_fold`, serves every use of it: the weighted
+norm by the Lagrange identity, Newton's exact ``D'`` and the zero drift.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .coefficients import ProblemSpec
 from .errors import DriftUndefined, EmptyWindowError, InvalidProblemError
-from .propagator import (_require_real, solution_at, weighted_norm,
+from .propagator import (_lambda_fold, _require_real, weighted_norm,
                          weighted_partial)
 from .spectrum import (ScanResult, find_real_eigenvalues, interior_zeros,
                        records_to_csv)
@@ -111,65 +111,27 @@ def richardson_numbers(spec: ProblemSpec, window: tuple[float, float],
 # Zero drift
 # ---------------------------------------------------------------------------
 
-def zero_drift(spec: ProblemSpec, lam: float, zero_index: int,
-               h: float | None = None) -> float:
-    """Central-difference derivative ``d x_k / d lambda`` of the ``k``-th
-    interior zero (1-based) of the left solution.
-
-    Raises :class:`DriftUndefined` when the requested zero does not exist at
-    all three stencil points, when its identity is unstable across the
-    stencil (the located positions scatter, e.g. because zeros enter or
-    leave through ``b``), or when the zero sits numerically on a piece
-    breakpoint (the derivative can be one-sided there).
+def zero_drift(spec: ProblemSpec, lam: float, zero_index: int) -> float:
+    """Derivative ``d x_k / d lambda`` of the ``k``-th interior zero
+    (1-based) of the left solution: ``-dy/dlambda / y'`` at the zero, both
+    from one :func:`~slindef.propagator._lambda_fold`, the fold Newton reads
+    at ``b``; by the Lagrange identity, ``-int_a^{x_k} w y^2 dx / y'^2``.
+    ``y`` and ``dy/dlambda`` are continuous in ``x``, so on a breakpoint the
+    derivative is two-sided too.  Raises :class:`DriftUndefined` when the
+    zero does not exist or the slope vanishes there.
     """
     lam = _require_real(lam, "zero_drift")
     if not isinstance(zero_index, int) or zero_index < 1:
         raise InvalidProblemError(
             f"zero_index must be a positive integer, got {zero_index!r}")
-    if h is None:
-        h = 1e-5 * max(1.0, abs(lam))
-    if not (h > 0.0):
-        raise InvalidProblemError(f"h must be positive, got {h!r}")
-
-    z_mid = interior_zeros(spec, lam)
-    z_hi = interior_zeros(spec, lam + h)
-    z_lo = interior_zeros(spec, lam - h)
-    for name, zs in (("lambda", z_mid), ("lambda+h", z_hi), ("lambda-h", z_lo)):
-        if len(zs) < zero_index:
-            raise DriftUndefined(
-                f"zero index {zero_index} exceeds the zero count {len(zs)} at "
-                f"{name}")
-    xs = (z_lo[zero_index - 1], z_mid[zero_index - 1], z_hi[zero_index - 1])
-    if max(xs) - min(xs) > 0.1 * (spec.b - spec.a):
-        raise DriftUndefined(
-            f"zero {zero_index} moves by {max(xs) - min(xs)!r} across the "
-            f"stencil; its identity is not stable at lambda={lam!r}")
-    guard = 1e-9 * (spec.b - spec.a)
-    interior_bps = spec.coeff.breakpoints[1:-1]
-    for x in xs:
-        for bp in interior_bps:
-            if abs(x - bp) <= guard:
-                raise DriftUndefined(
-                    f"zero {zero_index} sits on the breakpoint {bp!r} where "
-                    f"the coefficients jump; the drift may be one-sided")
-    return (xs[2] - xs[0]) / (2.0 * h)
-
-
-def drift_reference(spec: ProblemSpec, lam: float, zero_index: int) -> float:
-    """Implicit-function value ``- int_a^{x*} w y^2 dx / y'(x*)^2`` for the
-    same zero; independent of the finite-difference route and useful for
-    cross-checking magnitude and the sign law."""
-    lam = _require_real(lam, "drift_reference")
     zs = interior_zeros(spec, lam)
-    if len(zs) < zero_index or zero_index < 1:
+    if len(zs) < zero_index:
         raise DriftUndefined(
             f"zero index {zero_index} exceeds the zero count {len(zs)}")
-    x_star = zs[zero_index - 1]
-    num = weighted_partial(spec, lam, x_star)
-    yp = solution_at(spec, lam, [x_star])[0].yp
+    _, yp, u, _, _, _ = _lambda_fold(spec, lam, zs[zero_index - 1])
     if yp == 0.0:
         raise DriftUndefined("vanishing derivative at the zero")
-    return -num / (yp * yp)
+    return -u / yp
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from slindef import (
     ProblemSpec,
     application_problem,
     bound_one_turning_point,
+    characteristic,
     certificate_to_dict,
     certificate_to_json,
     certify_application,
@@ -22,6 +23,7 @@ from slindef import (
     certify_prop4,
     certify_prop5,
     classify_definiteness,
+    count_zeros,
     disconjugate_on,
     find_real_eigenvalues,
     interior_zeros,
@@ -368,6 +370,53 @@ class TestClassification:
                        epsabs=0.0, epsrel=1e-13)
         want = freq * freq * length / 2.0 - qint
         assert trial["value"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        one_turning_point(-10.0),
+        one_turning_point(13.0),
+        application_problem(0.0),
+        ProblemSpec(PiecewiseCoefficient((
+            Piece(-1.0, 0.0, -1.0, -10.0),
+            Piece(0.0, 1.0, 1.0, ((0.0, 0.0), (0.5, 30.0), (1.0, 0.0))))),
+            0.4, 1.1),
+        # stepping out leaves hi above lambda2 with D(hi) < 0 and 2 zeros
+        ProblemSpec(PiecewiseCoefficient((
+            Piece(-0.54, 1.42, -0.8, 23.26), Piece(1.42, 1.62, 1.6, -23.15))),
+            2.63, 1.37),
+        # beta != 0: the first zero enters far above lambda0, so "no zero"
+        # alone is true well past it
+        ProblemSpec(PiecewiseCoefficient((
+            Piece(-1.23, -0.81, 1.59, -10.85), Piece(-0.81, 0.33, 1.58, -20.0),
+            Piece(0.33, 0.72, 0.88, -27.79),
+            Piece(0.72, 1.41, 0.95, ((0.72, -1.5), (0.92, 8.7), (1.41, 14.6))))),
+            0.0, 0.94),
+    ])
+    def test_lambda0_is_the_first_unit_weight_root(self, spec):
+        lam0 = classify_definiteness(spec).lambda0
+        unit = ProblemSpec(PiecewiseCoefficient(tuple(
+            Piece(p.x0, p.x1, 1.0, p.q) for p in spec.pieces)),
+            spec.alpha, spec.beta)
+        roots = find_real_eigenvalues(unit, (lam0 - 50.0, lam0 + 50.0),
+                                      1e-10).eigenvalues
+        assert roots[0] == pytest.approx(lam0, rel=1e-12)
+
+    def test_lambda0_below_a_strongly_attracting_end(self):
+        # alpha = 3.03 puts cot(alpha) = -8.9 in y'(a) = cot(alpha) y(a),
+        # which binds a ground state near -cot^2 - q; it decays from a, and
+        # the real scan does not reach it (ROADMAP F1), so check the Sturm
+        # bracket itself: no zero and D > 0 just below, D < 0 just above
+        spec = ProblemSpec(PiecewiseCoefficient((
+            Piece(-0.45, 0.03, -1.0, 2.35), Piece(0.03, 2.45, 0.7, -18.2))),
+            3.03, 0.94)
+        rep = classify_definiteness(spec)
+        # the closed-form oracle of perfbench/closed_form.py, log-scaled
+        assert rep.lambda0 == pytest.approx(-81.98313855018421, rel=1e-12)
+        assert rep.kind == "nondefinite"
+        unit = ProblemSpec(PiecewiseCoefficient(tuple(
+            Piece(p.x0, p.x1, 1.0, p.q) for p in spec.pieces)), 3.03, 0.94)
+        below, above = rep.lambda0 - 1e-7, rep.lambda0 + 1e-7
+        assert count_zeros(unit, below) == 0
+        assert characteristic(unit, below) > 0.0 > characteristic(unit, above)
 
     def test_report_serializes(self, one_tp_m10):
         doc = classify_definiteness(one_tp_m10).to_dict()

@@ -1,8 +1,9 @@
 """Import layout: modules of the package import each other at the top of a
 file only, so the import graph has no cycle hidden inside a function, the
 package imports nothing but the standard library and itself, the test
-oracles take no private name from the package, and every name a module
-exports in ``__all__`` resolves."""
+oracles take no private name from the package, every name a module
+exports in ``__all__`` resolves, and the certificates name no eigenvalue
+scan."""
 
 import ast
 import importlib
@@ -80,3 +81,20 @@ def test_every_exported_name_resolves():
                for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert missing == []
+
+
+def test_certificates_never_consult_the_eigenvalue_scan():
+    # the certificates are independent evidence against the scans, as the
+    # module docstring says, so the module names neither scan
+    path = SRC / "certificates.py"
+    tree = ast.parse(path.read_text(), str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert names.isdisjoint({"find_real_eigenvalues",
+                             "find_complex_eigenvalues"})

@@ -14,10 +14,10 @@ from slindef import (
     PiecewiseCoefficient,
     ProblemSpec,
     application_problem,
-    drift_reference,
     interior_zeros,
     one_turning_point,
     richardson_numbers,
+    solution_at,
     weighted_norm,
     zero_drift,
 )
@@ -166,19 +166,55 @@ class TestZeroDrift:
         assert got == pytest.approx(APP_DRIFT_ZERO1, rel=1e-4)
 
     def test_agrees_with_implicit_function_route(self, app_spec):
-        # finite differences of the located zero vs the analytic expression
-        # -int_a^{x*} w y^2 / y'(x*)^2: two unrelated computations
+        # the implicit-function derivative -dy/dlambda / y' at the zero vs a
+        # central difference of the located zeros: two unrelated computations
+        lam = APP_LAMBDA_TOP
+        h = 1e-5 * lam
+        z_lo = interior_zeros(app_spec, lam - h)
+        z_hi = interior_zeros(app_spec, lam + h)
         for idx in (1, 2):
-            fd = zero_drift(app_spec, APP_LAMBDA_TOP, idx)
-            ref = drift_reference(app_spec, APP_LAMBDA_TOP, idx)
-            assert fd == pytest.approx(ref, rel=1e-4)
+            fd = (z_hi[idx - 1] - z_lo[idx - 1]) / (2.0 * h)
+            assert zero_drift(app_spec, lam, idx) == pytest.approx(fd, rel=1e-4)
 
     def test_classical_zeros_drift_left(self, classical_spec):
-        # for w > 0 zeros move toward a as lambda grows
+        # for w > 0 zeros move toward a as lambda grows: y = sin(k x)/k has
+        # its zeros at n pi / k, k = sqrt(lambda), so dx_n/dlambda is
+        # -n pi / (2 lambda^{3/2})
         lam = (3.0 * math.pi) ** 2
         for idx in (1, 2):
-            assert zero_drift(classical_spec, lam, idx) < 0.0
-            assert drift_reference(classical_spec, lam, idx) < 0.0
+            want = -idx * math.pi / (2.0 * lam ** 1.5)
+            assert zero_drift(classical_spec, lam, idx) == pytest.approx(
+                want, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, lam", [
+        (application_problem(0.0), APP_LAMBDA_TOP),
+        (application_problem(3.0), -40.0),
+        (one_turning_point(-10.0), 41.57586512982179),
+        (ProblemSpec(PiecewiseCoefficient((
+            Piece(-1.0, 0.0, -1.0, -10.0),
+            Piece(0.0, 1.0, 1.0, ((0.0, 0.0), (0.5, 30.0), (1.0, 0.0))))),
+            0.4, 1.1), 57.0),
+    ])
+    def test_equals_the_partial_norm_over_the_slope(self, spec, lam):
+        # the Lagrange identity at a zero: -int_a^{x_k} w y^2 / y'(x_k)^2
+        zs = interior_zeros(spec, lam)
+        assert zs
+        for idx, x_star in enumerate(zs, start=1):
+            yp = solution_at(spec, lam, [x_star])[0].yp
+            want = -weighted_partial(spec, lam, x_star) / (yp * yp)
+            assert zero_drift(spec, lam, idx) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("w2", [1.0, 3.0, -2.0])
+    def test_zero_on_a_breakpoint_has_a_two_sided_drift(self, w2):
+        # at lambda = (2 pi)^2 the zero sits on the breakpoint 0.5; y and
+        # dy/dlambda are continuous there, so the drift is the one of the
+        # first piece alone, -pi / (2 lambda^{3/2})
+        spec = ProblemSpec(PiecewiseCoefficient((
+            Piece(0.0, 0.5, 1.0, 0.0), Piece(0.5, 1.0, w2, 0.0))))
+        lam = 4.0 * math.pi * math.pi
+        assert interior_zeros(spec, lam)[0] == pytest.approx(0.5, abs=1e-15)
+        assert zero_drift(spec, lam, 1) == pytest.approx(
+            -math.pi / (2.0 * lam ** 1.5), rel=1e-12)
 
     def test_sign_law_follows_partial_weighted_norm(self, app_spec):
         # drift of zero k is negative exactly when int_a^{x_k} w y^2 > 0
@@ -197,9 +233,10 @@ class TestZeroDrift:
         with pytest.raises(InvalidProblemError):
             zero_drift(classical_spec, (2 * math.pi) ** 2, 0)
 
-    def test_reference_requires_existing_zero(self, classical_spec):
+    def test_index_past_the_count_raises(self, classical_spec):
+        # one interior zero at (2 pi)^2
         with pytest.raises(DriftUndefined):
-            drift_reference(classical_spec, math.pi ** 2, 1)
+            zero_drift(classical_spec, (2 * math.pi) ** 2, 2)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Characteristic function, zero counting, real/complex scans, serialization."""
 
+import functools
 import json
 import math
 import os
@@ -17,11 +18,13 @@ from slindef import (
     Piece,
     PiecewiseCoefficient,
     ProblemSpec,
+    application_problem,
     characteristic,
     count_zeros,
     find_complex_eigenvalues,
     find_real_eigenvalues,
     interior_zeros,
+    normalize_domain,
     one_turning_point,
     propagate,
     records_to_csv,
@@ -468,6 +471,17 @@ class TestRealScan:
         assert [name for name, _ in brackets] == ["dprime"]
         assert res.records == ()
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP F5: rounding splits D ~ c lambda^2 into sign changes wider "
+        "apart than _merge_roots' fixed 10 tol |lambda| band; item 1 step "
+        "1's merge by error bar should report the double root once"))
+    def test_coalescing_double_root_is_reported_once(self):
+        # one_tp(pi^2/4) has a double root at 0; the scan reports it 4 times,
+        # from -2.2e-7 to 2.2e-7
+        res = find_real_eigenvalues(one_turning_point(PI2 / 4.0), (-5.0, 5.0))
+        near = [r.re_lambda for r in res.records if abs(r.re_lambda) <= 1e-5]
+        assert len(near) == 1
+
     def test_classical_spectrum(self, classical_spec):
         res = find_real_eigenvalues(classical_spec, (1.0, 100.0), 1e-9)
         assert [r.re_lambda for r in res.records] == pytest.approx(
@@ -542,6 +556,79 @@ class TestRealScan:
     def test_rejects_bad_tol(self, classical_spec):
         with pytest.raises(InvalidProblemError):
             find_real_eigenvalues(classical_spec, (0.0, 1.0), tol=-1e-9)
+
+
+# the tabulated problem of the README's problem-file example
+README_TABLE = ProblemSpec(PiecewiseCoefficient((
+    Piece(-1.0, 0.0, -1.0, -10.0),
+    Piece(0.0, 1.0, 1.0, ((0.0, 0.0), (0.5, 30.0), (1.0, 0.0))))))
+
+
+def reflected(spec: ProblemSpec) -> ProblemSpec:
+    """The same problem under x -> a + b - x: pieces and table nodes in
+    reverse order, alpha and beta swapped."""
+    s = spec.a + spec.b
+    pieces = tuple(
+        Piece(s - p.x1, s - p.x0, p.w, p.q if p.has_constant_q
+              else tuple((s - x, q) for x, q in reversed(p.q)))
+        for p in reversed(spec.pieces))
+    return ProblemSpec(PiecewiseCoefficient(pieces), spec.beta, spec.alpha)
+
+
+def with_double_weight(spec: ProblemSpec) -> ProblemSpec:
+    return ProblemSpec(PiecewiseCoefficient(tuple(
+        Piece(p.x0, p.x1, 2.0 * p.w, p.q) for p in spec.pieces)),
+        spec.alpha, spec.beta)
+
+
+@functools.cache
+def scan_summary(spec: ProblemSpec, half_width: float) -> tuple[list, list, list]:
+    """Roots, zero counts and norm signs of a scan over the half width,
+    cached: each problem's own scan serves all its invariants."""
+    recs = find_real_eigenvalues(spec, (-half_width, half_width), 1e-9).records
+    return ([r.re_lambda for r in recs], [r.zeros_in_ab for r in recs],
+            [r.weighted_norm > 0.0 for r in recs])
+
+
+INVARIANT_PROBLEMS = [
+    pytest.param(one_turning_point(-10.0), id="one_tp(-10)"),
+    pytest.param(application_problem(3.0), id="application(3)"),
+    pytest.param(README_TABLE, id="readme_table"),
+]
+
+
+class TestInvariants:
+    """Properties the spectrum has whatever its values: no oracle needed."""
+
+    @pytest.mark.parametrize("spec", INVARIANT_PROBLEMS)
+    @pytest.mark.parametrize("transform", [reflected, normalize_domain])
+    def test_same_problem_same_spectrum(self, spec, transform):
+        # a reflected or rescaled interval carries the same eigenfunctions,
+        # so the same roots, zero counts and norm signs
+        roots, counts, signs = scan_summary(spec, 150.0)
+        got_roots, got_counts, got_signs = scan_summary(transform(spec), 150.0)
+        assert roots
+        assert got_roots == pytest.approx(roots, rel=1e-9)
+        assert got_counts == counts
+        assert got_signs == signs
+
+    @pytest.mark.parametrize("spec", INVARIANT_PROBLEMS)
+    def test_doubled_weight_halves_every_root(self, spec):
+        roots, counts, signs = scan_summary(spec, 150.0)
+        got_roots, got_counts, got_signs = scan_summary(
+            with_double_weight(spec), 75.0)
+        assert got_roots == pytest.approx([0.5 * r for r in roots], rel=1e-12)
+        assert got_counts == counts
+        assert got_signs == signs
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP F1/F3/F4: the solution launched from a picks up the growing "
+        "mode across the evanescent piece, so each end finds a different "
+        "root set; item 1's matched shooting should make both ends agree"))
+    def test_readme_table_reflection_at_w600(self):
+        # 13 roots from the left end, 12 from the reflected problem
+        assert len(scan_summary(reflected(README_TABLE), 600.0)[0]) == len(
+            scan_summary(README_TABLE, 600.0)[0])
 
 
 class TestEmpiricalIndices:
