@@ -19,8 +19,9 @@ from typing import Sequence
 
 from .coefficients import (Piece, PiecewiseCoefficient, ProblemSpec,
                            application_problem)
-from .errors import HypothesisViolation, InvalidProblemError
-from .propagator import StateVector, states_on_grid, weighted_norm
+from .errors import (HypothesisViolation, InvalidProblemError,
+                     NumericalFailure)
+from .propagator import _carry, weighted_norm
 from .spectrum import (_newton_polish, _refine_bracket, characteristic_scaled,
                        count_zeros, interior_zeros)
 
@@ -314,15 +315,18 @@ def disconjugate_on(obj: ProblemSpec | PiecewiseCoefficient, mu: float,
     sub = ProblemSpec(PiecewiseCoefficient(tuple(pieces)))
     if interior_zeros(sub, mu):
         return None
-    # the grid ends at x = d, so a positive minimum covers the end state
+    # the solution on 32 equal steps of each piece; the grid ends at x = d,
+    # so a positive minimum covers the end state
     min_u = math.inf
-    state = StateVector(sub.a, 0.0, 1.0)
+    u, up = 0.0, 1.0
     for piece in sub.pieces:
-        grid = states_on_grid(piece, mu, state, 32)
-        for st in grid:
-            if st.x >= c and st.y < min_u:
-                min_u = st.y
-        state = grid[-1]
+        x = piece.x0
+        for j in range(1, 33):
+            xj = piece.x0 + piece.length * (j / 32) if j < 32 else piece.x1
+            u, up = _carry(piece, mu, u, up, x, xj)
+            x = xj
+            if x >= c and u < min_u:
+                min_u = u
     if not (min_u > 0.0 and math.isfinite(min_u)):
         return None
     return DisconjugacyWitness(interval=(c, d), mu=mu, min_value=min_u,
@@ -662,11 +666,15 @@ def classify_definiteness(spec: ProblemSpec) -> DefinitenessReport:
             "lowest_unit_weight_eigenvalue": lambda0,
         }
     else:
-        ground_norm = weighted_norm(specL, lambda0)
-        witnesses["energy_form_negative_trial"] = {
-            "trial": "ground eigenfunction of the unit-weight problem",
-            "value": lambda0 * ground_norm,
-        }
+        trial = {"trial": "ground eigenfunction of the unit-weight problem"}
+        try:
+            trial["value"] = lambda0 * weighted_norm(specL, lambda0)
+        except NumericalFailure:
+            # the same stretches gave a finite D at lambda0, so this is the
+            # norm's overflow; kind and lambda0 do not depend on the witness
+            trial["value"] = None
+            trial["note"] = "int y^2 overflows double precision"
+        witnesses["energy_form_negative_trial"] = trial
         length = spec.b - spec.a
         q_sup = max(p.q_extremes()[1] for p in spec.pieces)
         n = math.ceil(length / math.pi * math.sqrt(max(q_sup, 0.0) + 1.0)) + 1

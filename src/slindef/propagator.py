@@ -1,4 +1,4 @@
-"""Transfer-matrix propagation of ``y'' + (lambda*w + q) y = 0``.
+"""Propagation of ``y'' + (lambda*w + q) y = 0`` across the interval.
 
 On a piece where ``k2 = lambda*w + q`` is constant, the solution advances by
 the entire-function kernels
@@ -18,8 +18,12 @@ potential is flat, and its error falls as ``h^4`` without growing with
 
 :func:`stretches` is the one place that knows how a piece is crossed: a
 constant piece is one stretch, a tabulated piece its Magnus steps, each a
-flow ``C(z, tau) I + S(z, tau) Omega``.  Zero counts, weighted norms and
-transfer matrices are folds over it; only ``characteristic_scaled``, the
+flow ``C(z, tau) I + S(z, tau) Omega``.  Every walk of the interval folds
+the state ``(y, y')`` over it by the same update, so ``D``, its derivative,
+the zero count, the norm and the zero drift all read one computed solution
+bit for bit: :func:`_carry` crosses a piece for ``characteristic_scaled``,
+:func:`solution_at` and :func:`propagate` (whose transfer matrix is the
+fold of its two fundamental columns); only ``characteristic_scaled``, the
 hottest loop, crosses constant pieces with the same arithmetic inline.
 Every stretch carries the lambda-derivative of ``(y, y')`` in closed form,
 and one fold, :func:`_lambda_fold`, serves every use of it: the weighted
@@ -44,7 +48,6 @@ __all__ = [
     "propagate",
     "solution_at",
     "stretches",
-    "initial_state",
     "weighted_norm",
     "weighted_partial",
 ]
@@ -126,25 +129,6 @@ class TransferMatrix:
     def apply(self, y: Scalar, yp: Scalar) -> tuple[Scalar, Scalar]:
         return (self.m11 * y + self.m12 * yp, self.m21 * y + self.m22 * yp)
 
-    def apply_state(self, state: StateVector) -> StateVector:
-        y, yp = self.apply(state.y, state.yp)
-        return StateVector(self.x1, y, yp)
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        """Composition ``self @ other``: first cross ``other``, then ``self``."""
-        if not isinstance(other, TransferMatrix):
-            return NotImplemented
-        if other.x1 != self.x0:
-            raise InvalidProblemError(
-                f"cannot compose transfer over [{other.x0!r}, {other.x1!r}] "
-                f"with transfer over [{self.x0!r}, {self.x1!r}]")
-        return TransferMatrix(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-            other.x0, self.x1)
-
 
 # ---------------------------------------------------------------------------
 # Stretches: the one way a piece is crossed
@@ -222,44 +206,33 @@ def _magnus_steps(piece: Piece, lam: Scalar, x_from: float, x_to: float):
                    z, xa + j * h, 1.0)
 
 
-def transfer_across(piece: Piece, lam: Scalar,
-                    x_from: float | None = None,
-                    x_to: float | None = None) -> TransferMatrix:
-    """Transfer matrix across (part of) one piece at spectral value ``lam``:
-    the product of its stretches from the first (a constant piece's is its
-    stretch's exactly), stamped with the exact ends so adjacent ones compose."""
-    x_from = piece.x0 if x_from is None else x_from
-    x_to = piece.x1 if x_to is None else x_to
-    if not (piece.x0 <= x_from <= x_to <= piece.x1):
-        raise InvalidProblemError(
-            f"[{x_from!r}, {x_to!r}] is not inside piece "
-            f"[{piece.x0!r}, {piece.x1!r}]")
-    stream = iter(stretches(piece, lam, x_from, x_to))
-    m11, m12, m21, m22 = next(stream, (1.0, 0.0, 0.0, 1.0))[:4]
-    for e11, e12, e21, e22, _, _, _, _, _, _, _, _ in stream:
-        m11, m12, m21, m22 = (e11 * m11 + e12 * m21, e11 * m12 + e12 * m22,
-                              e21 * m11 + e22 * m21, e21 * m12 + e22 * m22)
-    return TransferMatrix(m11, m12, m21, m22, x_from, x_to)
-
-
-def initial_state(spec: ProblemSpec) -> StateVector:
-    """Left initial data ``(y, y') = (sin(alpha), cos(alpha))`` at ``x = a``,
-    which satisfies the boundary condition at ``a`` for every ``lambda``."""
-    return StateVector(spec.a, math.sin(spec.alpha), math.cos(spec.alpha))
+def _carry(piece: Piece, lam: Scalar, y: Scalar, yp: Scalar,
+           x_from: float, x_to: float) -> tuple[Scalar, Scalar]:
+    """``(y, y')`` carried from ``x_from`` to ``x_to`` inside ``piece`` by
+    the state update that :func:`_lambda_fold` and the zero walk apply per
+    stretch, so every walk of the interval sees the same computed
+    solution."""
+    for e11, e12, e21, e22, _, _, _, _, _, _, _, _ in stretches(
+            piece, lam, x_from, x_to):
+        y, yp = e11 * y + e12 * yp, e21 * y + e22 * yp
+    return y, yp
 
 
 @lambda_entry
 def propagate(spec: ProblemSpec, lam: Scalar) -> tuple[StateVector, TransferMatrix]:
-    """Cross the whole interval: terminal state at ``b`` and the total
-    transfer matrix over ``[a, b]``."""
-    pieces = iter(spec.pieces)
-    total = transfer_across(next(pieces), lam)
-    for piece in pieces:
-        total = transfer_across(piece, lam) @ total
-    state = total.apply_state(initial_state(spec))
-    if not (abs(state.y) + abs(state.yp) < math.inf):
+    """Cross the whole interval: terminal state at ``b`` and the transfer
+    matrix over ``[a, b]``, whose columns are the solutions launched with
+    ``(y, y') = (1, 0)`` and ``(0, 1)`` at ``a``."""
+    states = ((1.0, 0.0), (0.0, 1.0),
+              (math.sin(spec.alpha), math.cos(spec.alpha)))
+    for piece in spec.pieces:
+        states = tuple(_carry(piece, lam, y, yp, piece.x0, piece.x1)
+                       for y, yp in states)
+    (m11, m21), (m12, m22), (y, yp) = states
+    if not (abs(y) + abs(yp) < math.inf):
         raise overflow_failure(lam)
-    return state, total
+    return (StateVector(spec.b, y, yp),
+            TransferMatrix(m11, m12, m21, m22, spec.a, spec.b))
 
 
 def solution_at(spec: ProblemSpec, lam: Scalar,
@@ -277,25 +250,9 @@ def solution_at(spec: ProblemSpec, lam: Scalar,
         starts[piece.x0] = y, yp
         if piece.x0 == last:
             break
-        y, yp = transfer_across(piece, lam).apply(y, yp)
-    return [StateVector(x, *transfer_across(piece, lam, piece.x0, x).apply(
-        *starts[piece.x0])) for x, piece in located]
-
-
-def states_on_grid(piece: Piece, lam: Scalar, start: StateVector,
-                   n: int) -> list[StateVector]:
-    """States at ``n + 1`` equally spaced points across one piece, starting
-    from ``start`` at ``piece.x0``.  ``certificates.disconjugate_on`` reads
-    the sign of the solution on this grid."""
-    if n < 1:
-        raise InvalidProblemError("grid needs at least one interval")
-    out = [StateVector(piece.x0, start.y, start.yp)]
-    for j in range(1, n + 1):
-        xj = piece.x0 + piece.length * (j / n) if j < n else piece.x1
-        prev = out[-1]
-        out.append(StateVector(xj, *transfer_across(
-            piece, lam, prev.x, xj).apply(prev.y, prev.yp)))
-    return out
+        y, yp = _carry(piece, lam, y, yp, piece.x0, piece.x1)
+    return [StateVector(x, *_carry(piece, lam, *starts[piece.x0], piece.x0, x))
+            for x, piece in located]
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from typing import Callable, Sequence
 from .coefficients import ProblemSpec
 from .errors import (ContourError, InvalidProblemError, NumericalFailure,
                      lambda_entry, overflow_failure)
-from .propagator import (_lambda_fold, _require_real, cs_kernels, stretches,
-                         transfer_across, weighted_norm)
+from .propagator import (_carry, _lambda_fold, _require_real, cs_kernels,
+                         stretches)
 
 __all__ = [
     "EigenRecord",
@@ -41,7 +41,6 @@ __all__ = [
     "find_complex_eigenvalues",
     "records_to_csv",
     "scan_to_csv",
-    "scan_to_dict",
     "scan_to_json",
 ]
 
@@ -66,10 +65,10 @@ def characteristic_scaled(spec: ProblemSpec, lam: complex | float
     for piece in spec.coeff.pieces:
         const = piece.constant
         if const is None:
-            y, yp = transfer_across(piece, lam).apply(y, yp)
+            y, yp = _carry(piece, lam, y, yp, piece.x0, piece.x1)
         else:
-            # the piece's one stretch, unrolled in transfer_across's order:
-            # fed from ``stretches``, D cost 11-15 % of constant-piece scans
+            # the piece's one stretch, unrolled in _carry's order: fed from
+            # ``stretches``, D cost 11-15 % of constant-piece scans
             w, q, x0, x1 = const
             k2 = lam * w + q
             c, s = cs_kernels(k2, x1 - x0)
@@ -474,9 +473,6 @@ def _empirical_indices(counts: Sequence[int]) -> tuple[int | None, int | None]:
     for m in range(first_double, c_trust + 1):
         if mult.get(m, 0) < 2:
             return None, None  # singleton inside the doubled range
-    for m in range(c_min, first_double):
-        if mult.get(m, 0) != 1:
-            return None, None
     if first_double == c_min and c_min > 0:
         # No singleton evidence below and zero is not the floor: the window
         # may simply have missed the lower counts.
@@ -564,10 +560,13 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
 
 
 def _real_record(spec: ProblemSpec, lam: float) -> EigenRecord:
-    """A real root's record: zero count, weighted norm and ``|D|``."""
-    d, _ = characteristic_scaled(spec, lam)
-    return EigenRecord(lam, 0.0, count_zeros(spec, lam),
-                       weighted_norm(spec, lam), abs(d))
+    """A real root's record: zero count, and the weighted norm and ``|D|``
+    from one :func:`_lambda_fold` to ``b``."""
+    y, yp, _, _, norm, scale = _lambda_fold(spec, lam, spec.b)
+    d = y * math.cos(spec.beta) + yp * math.sin(spec.beta)
+    if not (scale < math.inf and abs(norm) < math.inf and d == d):
+        raise overflow_failure(lam)
+    return EigenRecord(lam, 0.0, count_zeros(spec, lam), norm, abs(d))
 
 
 # ---------------------------------------------------------------------------
@@ -888,10 +887,6 @@ def records_to_csv(records: Sequence[EigenRecord]) -> str:
 
 def scan_to_csv(result: ScanResult) -> str:
     return records_to_csv(result.records)
-
-
-def scan_to_dict(result: ScanResult) -> dict:
-    return result.to_dict()
 
 
 def scan_to_json(result: ScanResult) -> str:

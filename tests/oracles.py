@@ -8,7 +8,10 @@ constant-q problems, weighted norms also come from the closed-form integrals
 of the kernel products, written here with ``math`` alone.  Tests compare the
 package against these routes.  ``perfbench``'s ``pointwise`` check imports
 this module too, so it uses nothing of the package but its public problem
-model.
+model.  The one exception is :func:`stretch_product`: it multiplies the
+package's own stretch flows into one matrix per piece, so it applies the
+same exact exponentials as the package's fold of ``(y, y')`` in another
+order, and tests bound by it what that fold's rounding may move.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from slindef import ProblemSpec
+from slindef import Piece, ProblemSpec
+from slindef.propagator import stretches
 
 _RTOL = 1e-12
 _ATOL = 1e-14
@@ -174,3 +178,13 @@ def kernel_weighted_norm(spec: ProblemSpec, lam: float,
         c, s = kernels(z, t)
         y, yp = c * y + s * yp, -z * s * y + c * yp
     return signed, absolute
+
+
+def stretch_product(piece: Piece, lam, x_from: float, x_to: float) -> tuple:
+    """``(m11, m12, m21, m22)``, the product of the flows of the stretches
+    crossing ``[x_from, x_to]`` inside ``piece``, from the first."""
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    for e11, e12, e21, e22, *_ in stretches(piece, lam, x_from, x_to):
+        m11, m12, m21, m22 = (e11 * m11 + e12 * m21, e11 * m12 + e12 * m22,
+                              e21 * m11 + e22 * m21, e21 * m12 + e22 * m22)
+    return m11, m12, m21, m22

@@ -326,6 +326,14 @@ class TestApplication:
 # Definiteness classification
 # --------------------------------------------------------------------------
 
+# cot(beta) = -182 binds a ground state near -cot^2(beta) - q; sqrt(33144)
+# times the length 2.77 is 505, so y^2 grows past e^709, where the norm of
+# the negative-trial witness overflows
+OVERFLOWING_GROUND_NORM = ProblemSpec(PiecewiseCoefficient((
+    Piece(-0.44603502457927724, 2.327820664204916, 2.308, -1.436),)),
+    2.2687, 3.1361)
+
+
 class TestClassification:
     def test_fixed_sign_weight_is_orthogonal(self, classical_spec):
         rep = classify_definiteness(classical_spec)
@@ -417,6 +425,13 @@ class TestClassification:
         below, above = rep.lambda0 - 1e-7, rep.lambda0 + 1e-7
         assert count_zeros(unit, below) == 0
         assert characteristic(unit, below) > 0.0 > characteristic(unit, above)
+
+    def test_ground_norm_overflow_leaves_the_witness_empty(self):
+        rep = classify_definiteness(OVERFLOWING_GROUND_NORM)
+        assert (rep.kind, rep.is_polar) == ("orthogonal", False)
+        assert rep.lambda0 == pytest.approx(-33144.24, rel=1e-6)
+        trial = rep.witnesses["energy_form_negative_trial"]
+        assert trial["value"] is None and "overflows" in trial["note"]
 
     def test_report_serializes(self, one_tp_m10):
         doc = classify_definiteness(one_tp_m10).to_dict()

@@ -50,6 +50,19 @@ def test_classify(capsys, one_tp_file):
     assert doc["kind"] == "polar"
 
 
+def test_classify_past_an_overflowing_witness(capsys, tmp_path):
+    # the ground state of the unit-weight problem overflows its norm
+    path = tmp_path / "steep.json"
+    save_problem(ProblemSpec(PiecewiseCoefficient((
+        Piece(-0.44603502457927724, 2.327820664204916, 2.308, -1.436),)),
+        2.2687, 3.1361), path)
+    rc, out, _ = run(capsys, "classify", str(path))
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["kind"], doc["is_polar"]) == ("orthogonal", False)
+    assert doc["witnesses"]["energy_form_negative_trial"]["value"] is None
+
+
 # --------------------------------------------------------------------------
 # scan
 # --------------------------------------------------------------------------

@@ -19,9 +19,13 @@ from slindef import (
     solution_at,
 )
 from slindef import propagator
-from slindef.propagator import _ds_dz, initial_state, transfer_across
+from slindef.propagator import _ds_dz
 
 from oracles import ivp_states, kernel_integrals
+
+
+def one_piece(piece) -> ProblemSpec:
+    return ProblemSpec(PiecewiseCoefficient((piece,)))
 
 
 def rel_det_defect(m) -> float:
@@ -144,18 +148,10 @@ class TestKernelDerivative:
 # --------------------------------------------------------------------------
 
 class TestTransfer:
-    def test_composition_requires_adjacency(self):
-        t1 = transfer_across(Piece(0.0, 1.0, 1.0, 4.0), 0.0)
-        t2 = transfer_across(Piece(1.0, 2.0, 1.0, -3.0), 0.0)
-        combined = t2 @ t1
-        assert (combined.x0, combined.x1) == (0.0, 2.0)
-        with pytest.raises(InvalidProblemError):
-            _ = t1 @ t2
-
     @given(st.floats(min_value=-1e4, max_value=1e4),
            st.floats(min_value=0.01, max_value=3.0))
     def test_unit_wronskian(self, k2, length):
-        m = transfer_across(Piece(0.0, length, 1.0, k2), 0.0)
+        _, m = propagate(one_piece(Piece(0.0, length, 1.0, k2)), 0.0)
         assert rel_det_defect(m) <= 1e-10
 
     @given(st.floats(min_value=-30.0, max_value=80.0))
@@ -183,8 +179,8 @@ class TestTransfer:
         for lam in (-17.3, 0.0, 4.2, 61.7):
             const_piece = Piece(0.0, 0.9, -1.3, 2.5)
             table_piece = Piece(0.0, 0.9, -1.3, ((0.0, 2.5), (0.9, 2.5)))
-            mc = transfer_across(const_piece, lam, 0.0, 0.9)
-            mt = transfer_across(table_piece, lam, 0.0, 0.9)
+            _, mc = propagate(one_piece(const_piece), lam)
+            _, mt = propagate(one_piece(table_piece), lam)
             for attr in ("m11", "m12", "m21", "m22"):
                 assert getattr(mc, attr) == pytest.approx(
                     getattr(mt, attr), rel=1e-8, abs=1e-8)
@@ -197,9 +193,9 @@ class TestTransfer:
 class TestPropagation:
     def test_initial_state_encodes_alpha(self):
         coeff = PiecewiseCoefficient((Piece(0.0, 1.0, 1.0, 0.0),))
-        s = initial_state(ProblemSpec(coeff))
+        (s,) = solution_at(ProblemSpec(coeff), 3.0, [0.0])
         assert (s.y, s.yp) == (0.0, 1.0)          # Dirichlet start
-        s = initial_state(ProblemSpec(coeff, alpha=math.pi / 4))
+        (s,) = solution_at(ProblemSpec(coeff, alpha=math.pi / 4), 3.0, [0.0])
         assert s.y == pytest.approx(s.yp)
 
     def test_breakpoint_states_chain(self, app_spec):
@@ -253,11 +249,13 @@ class TestPropagation:
                                                           app_spec):
         calls = []
 
-        def counted(piece, lam, *rest):
-            calls.append(piece)
-            return transfer_across(piece, lam, *rest)
+        carry = propagator._carry
 
-        monkeypatch.setattr(propagator, "transfer_across", counted)
+        def counted(piece, *rest):
+            calls.append(piece)
+            return carry(piece, *rest)
+
+        monkeypatch.setattr(propagator, "_carry", counted)
         for x, want in ((app_spec.a, 1), (app_spec.b, len(app_spec.pieces))):
             calls.clear()
             solution_at(app_spec, 3.0, [x])
@@ -307,7 +305,7 @@ class TestMagnus:
     @given(st.floats(min_value=-500.0, max_value=1e4))
     def test_unit_determinant(self, lam):
         piece = Piece(0.0, 1.0, -1.3, ((0.0, 4.0), (0.35, -9.0), (1.0, 25.0)))
-        m = transfer_across(piece, lam)
+        _, m = propagate(one_piece(piece), lam)
         assert rel_det_defect(m) <= 1e-12
 
     def test_flat_segment_is_one_exact_step(self, monkeypatch):
@@ -315,9 +313,9 @@ class TestMagnus:
         # far too small for a sloped segment
         monkeypatch.setattr(propagator, "_MAGNUS_STEPS_PER_UNIT", 1)
         for lam in (-40.0, 3.0, 900.0):
-            mc = transfer_across(Piece(0.0, 0.8, 1.7, -2.0), lam)
-            mt = transfer_across(
-                Piece(0.0, 0.8, 1.7, ((0.0, -2.0), (0.8, -2.0))), lam)
+            _, mc = propagate(one_piece(Piece(0.0, 0.8, 1.7, -2.0)), lam)
+            _, mt = propagate(one_piece(
+                Piece(0.0, 0.8, 1.7, ((0.0, -2.0), (0.8, -2.0)))), lam)
             for attr in ("m11", "m12", "m21", "m22"):
                 assert getattr(mt, attr) == pytest.approx(
                     getattr(mc, attr), rel=1e-12, abs=1e-12)
