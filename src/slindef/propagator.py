@@ -9,16 +9,19 @@ evaluated with ``z = k2``.  Both are entire in ``z`` (real formulas for real
 ``z`` of either sign, power series near ``z * t^2 = 0``), so propagation is
 analytic in the spectral parameter and works unchanged for complex ``lambda``.
 
-Pieces with tabulated potentials are crossed by fixed fourth-order Magnus
-steps, with step boundaries at the table nodes.  The potential is linear
-between nodes, so each step is the exponential of a traceless 2x2 matrix and
-comes from the same kernels: it has unit determinant, it is exact where the
-potential is flat, and its error falls as ``h^4`` without growing with
+Pieces with tabulated potentials are crossed by sixth-order Magnus steps,
+with step boundaries at the table nodes and, on each table segment, as many
+steps as keep the phase of one step small (192 to 512 per unit length).
+The potential is linear between nodes, so each step is the exponential of
+a traceless 2x2 matrix and comes from the same kernels: it has unit
+determinant, it is exact where the potential is flat, and its error falls
+as ``h^6``.  Where the cap of 512 leaves a step a phase past 1.5, the step
+keeps the fourth-order exponent, whose error does not grow with
 ``|lambda|`` (Iserles, BIT 2002).
 
 :func:`stretches` is the one place that knows how a piece is crossed: a
 constant piece is one stretch, a tabulated piece its Magnus steps, each a
-flow ``C(z, tau) I + S(z, tau) Omega``.  Every walk of the interval folds
+flow ``C(z, t) I + S(z, t) Omega``.  Every walk of the interval folds
 the state ``(y, y')`` over it by the same update, so ``D``, its derivative,
 the zero count, the norm and the zero drift all read one computed solution
 bit for bit: :func:`_carry` crosses a piece for ``characteristic_scaled``,
@@ -134,24 +137,32 @@ class TransferMatrix:
 # Stretches: the one way a piece is crossed
 # ---------------------------------------------------------------------------
 
-# Steps per unit length on table segments where q has a slope.  A flat
-# segment is crossed exactly in one step.  The count does not depend on
-# lambda: the Magnus error does not grow with it.
+# Steps per unit length on table segments where q has a slope: enough for a
+# phase sqrt(max |k2|) h of at most _MAGNUS_STEP_PHASE per step, within
+# [_MAGNUS_MIN_STEPS_PER_UNIT, _MAGNUS_STEPS_PER_UNIT].  A flat segment is
+# crossed exactly in one step.  The floor alone applies up to |k2| of about
+# 5 900, so the count does not depend on lambda there; above it the count
+# grows with lambda, and D may jump by rounding-level amounts where it moves.
 _MAGNUS_STEPS_PER_UNIT = 512
+_MAGNUS_MIN_STEPS_PER_UNIT = 192
+_MAGNUS_STEP_PHASE = 0.4
+# The sixth-order terms grow with k2 h^2, so past this phase per step (where
+# the count is at its cap) the steps keep the fourth-order exponent.
+_SIXTH_ORDER_PHASE = 1.5
 
 
 def stretches(piece: Piece, lam: Scalar, x_from: float, x_to: float):
     """The constant-coefficient stretches crossing ``[x_from, x_to]`` inside
-    ``piece``, in order, each ``(e11, e12, e21, e22, c, s, h, k2, d, z, x,
-    length)``.  With ``Omega = [[d, h], [-h*k2, -d]]``, ``Omega^2 = -z I``,
-    the solution at ``x + h*tau``, ``tau`` in ``[0, length]``, is
+    ``piece``, in order, each ``(e11, e12, e21, e22, c, s, dd, k2, d, z, x,
+    length)``.  With ``Omega = [[d, 1], [-k2, -d]]``, ``Omega^2 = -z I``,
+    the solution at ``x + t``, ``t`` in ``[0, length]``, is
 
-        y = C(z, tau) y0 + S(z, tau) (d y0 + h y0'),
+        y = C(z, t) y0 + S(z, t) (d y0 + y0'),
 
     ``(c, s) = (C(z, length), S(z, length))`` and ``e = c I + s Omega``
-    carries the start state to the end.  A constant piece is one stretch,
-    ``h = 1``, ``d = 0``, ``z = k2``, in a one-element tuple; a tabulated
-    piece is its :func:`_magnus_steps`.
+    carries the start state to the end; ``dd`` is ``d``'s lambda-derivative.
+    A constant piece is one stretch, ``d = dd = 0``, ``z = k2``, in a
+    one-element tuple; a tabulated piece is its :func:`_magnus_steps`.
     """
     const = piece.constant
     if const is None:
@@ -160,27 +171,36 @@ def stretches(piece: Piece, lam: Scalar, x_from: float, x_to: float):
     k2 = lam * w + q
     length = x_to - x_from
     c, s = cs_kernels(k2, length)
-    return ((c, s, -k2 * s, c, c, s, 1.0, k2, 0.0, k2, x_from, length),)
+    return ((c, s, -k2 * s, c, c, s, 0.0, k2, 0.0, k2, x_from, length),)
 
 
 def _magnus_steps(piece: Piece, lam: Scalar, x_from: float, x_to: float):
-    """Magnus-4 steps across ``[x_from, x_to]`` inside a tabulated piece.
+    """Magnus-6 steps across ``[x_from, x_to]`` inside a tabulated piece.
 
     ``q`` is linear between table nodes, so on a step of length ``h`` with
-    midpoint value ``k2 = lam*w + q(mid)`` and slope ``q'`` the fourth-order
-    Magnus exponent is exactly ``Omega = [[d, h], [-h*k2, -d]]`` with
-    ``d = h^3 q'/12``.  ``Omega^2 = -z I`` with ``z = h^2 k2 - d^2``, so
+    midpoint value ``k = lam*w + q(mid)`` and slope ``q'`` the sixth-order
+    Magnus exponent (the ``alpha_3 = 0`` truncation of Blanes, Casas, Oteo
+    and Ros, Phys. Rep. 470, 2009, section 4) is exactly ``h Omega`` with
+    ``Omega = [[d, 1], [-k2, -d]]``,
 
-        exp(Omega) = C(z, 1) I + S(z, 1) Omega,
+        k2 = k + h^4 q'^2 / 120,    d = h^2 q' / 12 + h^4 q' k / 180.
 
-    which has determinant 1 and is exact where ``q`` is constant.  Yields
-    every step as a stretch of :func:`stretches` with ``length = 1``.
+    ``(h Omega)^2 = -h^2 z I`` with ``z = k2 - d^2``, so
+
+        exp(h Omega) = C(z, h) I + S(z, h) Omega,
+
+    which has determinant 1 and is exact where ``q`` is constant.  Past
+    ``_SIXTH_ORDER_PHASE`` per step the fourth-order exponent ``k2 = k``,
+    ``d = h^2 q' / 12`` is kept, whose error does not grow with ``|lambda|``
+    (Iserles, BIT 42, 2002).  Yields every step as a stretch of
+    :func:`stretches` with ``length = h``.
 
     ``cs_kernels`` bounds the phase of one step only, so the phase bound
     ``span * sqrt(max |k2|)`` is summed over the segments as well: past
     ``_PHASE_LIMIT`` the walk raises :class:`NumericalFailure`.
     """
-    lw = lam * piece.w
+    w = piece.w
+    lw = lam * w
     stops = [(x_from, piece.q_at(x_from))]
     stops.extend(node for node in piece.q  # type: ignore[union-attr]
                  if x_from < node[0] < x_to)
@@ -191,19 +211,31 @@ def _magnus_steps(piece: Piece, lam: Scalar, x_from: float, x_to: float):
         if span <= 0.0:
             continue
         k2a = lw + qa
-        phase += span * math.sqrt(max(abs(k2a), abs(lw + qb)))
+        root = math.sqrt(max(abs(k2a), abs(lw + qb)))
+        phase += span * root
         if phase > _PHASE_LIMIT:
             raise _phase_failure(phase)
         slope = (qb - qa) / span
-        n = 1 if slope == 0.0 else math.ceil(_MAGNUS_STEPS_PER_UNIT * span)
+        n = 1 if slope == 0.0 else math.ceil(span * min(
+            _MAGNUS_STEPS_PER_UNIT,
+            max(_MAGNUS_MIN_STEPS_PER_UNIT, root / _MAGNUS_STEP_PHASE)))
         h = span / n
-        d = h * h * h * slope / 12.0
+        h2 = h * h
+        d0 = h2 * slope / 12.0
+        if h * root <= _SIXTH_ORDER_PHASE:
+            dk = h2 * h2 * slope / 180.0
+            k_shift = h2 * h2 * slope * slope / 120.0
+            dd = dk * w
+        else:
+            dk = k_shift = dd = 0.0
         for j in range(n):
-            k2 = k2a + slope * ((j + 0.5) * h)
-            z = h * h * k2 - d * d
-            c, s = cs_kernels(z, 1.0)
-            yield (c + s * d, s * h, -s * h * k2, c - s * d, c, s, h, k2, d,
-                   z, xa + j * h, 1.0)
+            k = k2a + slope * ((j + 0.5) * h)
+            k2 = k + k_shift
+            d = d0 + dk * k
+            z = k2 - d * d
+            c, s = cs_kernels(z, h)
+            yield (c + s * d, s, -s * k2, c - s * d, c, s, dd, k2, d, z,
+                   xa + j * h, h)
 
 
 def _carry(piece: Piece, lam: Scalar, y: Scalar, yp: Scalar,
@@ -235,13 +267,15 @@ def propagate(spec: ProblemSpec, lam: Scalar) -> tuple[StateVector, TransferMatr
             TransferMatrix(m11, m12, m21, m22, spec.a, spec.b))
 
 
+@lambda_entry
 def solution_at(spec: ProblemSpec, lam: Scalar,
                 xs: Sequence[float]) -> list[StateVector]:
     """Solution states at the requested locations (any order, must lie in
     ``[a, b]``).  Each point is carried from the state at the start of the
     piece that governs it, by the right-limit rule of
     :meth:`PiecewiseCoefficient.piece_at`.  The start state is carried only
-    as far as the last piece a point needs."""
+    as far as the last piece a point needs; a state that overflows raises
+    :class:`NumericalFailure`."""
     located = [(x, spec.coeff.piece_at(x)) for x in xs]
     last = max((piece.x0 for _, piece in located), default=spec.a)
     starts = {}
@@ -251,8 +285,12 @@ def solution_at(spec: ProblemSpec, lam: Scalar,
         if piece.x0 == last:
             break
         y, yp = _carry(piece, lam, y, yp, piece.x0, piece.x1)
-    return [StateVector(x, *_carry(piece, lam, *starts[piece.x0], piece.x0, x))
-            for x, piece in located]
+    states = [StateVector(x, *_carry(piece, lam, *starts[piece.x0], piece.x0,
+                                     x))
+              for x, piece in located]
+    if not all(abs(st.y) + abs(st.yp) < math.inf for st in states):
+        raise overflow_failure(lam)
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +355,16 @@ def _lambda_fold(spec: ProblemSpec, lam: Scalar, x_hi: float
             break
         w = piece.w
         u, up = 0.0, 0.0
-        for e11, e12, e21, e22, c, s, h, k2, d, z, _, length in stretches(
+        for e11, e12, e21, e22, c, s, dd, k2, d, z, _, length in stretches(
                 piece, lam, piece.x0, min(piece.x1, x_hi)):
-            # the stretch's derivative: dC/dz = -length S/2, dz/dlambda = h^2 w
-            dz = h * h * w
+            # the stretch's derivative: dC/dz = -length S/2,
+            # dz/dlambda = w - 2 d dd, dOmega/dlambda = [[dd, 0], [-w, -dd]]
+            dz = w - 2.0 * d * dd
             dc = -0.5 * length * s * dz
             ds = _ds_dz(c, s, z, length) * dz
-            u, up = (e11 * u + e12 * up + (dc + ds * d) * y + ds * h * yp,
-                     e21 * u + e22 * up - (ds * k2 + s * w) * h * y
-                     + (dc - ds * d) * yp)
+            u, up = (e11 * u + e12 * up + (dc + ds * d + s * dd) * y + ds * yp,
+                     e21 * u + e22 * up - (ds * k2 + s * w) * y
+                     + (dc - ds * d - s * dd) * yp)
             gu, gup = e11 * gu + e12 * gup, e21 * gu + e22 * gup
             y, yp = e11 * y + e12 * yp, e21 * y + e22 * yp
         total += yp * u - y * up

@@ -90,13 +90,11 @@ def characteristic(spec: ProblemSpec, lam: complex | float) -> complex | float:
 # ---------------------------------------------------------------------------
 
 def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
-                   v: float, y1: float, x0: float, unit: float,
-                   snap: float) -> None:
+                   v: float, y1: float, x0: float, snap: float) -> None:
     """Append the zeros of ``y(t) = C(k2, t) y0 + S(k2, t) v`` on
-    ``(0, length]``, whose end value is ``y1``, at ``x0 + unit * t``.
+    ``(0, length]``, whose end value is ``y1``, at ``x0 + t``.
 
-    ``snap`` is in units of ``t``: a zero within it of ``t = 0`` belongs to
-    the stretch before.
+    A zero within ``snap`` of ``t = 0`` belongs to the stretch before.
     """
     if k2 > 0.0 and math.sqrt(k2) * length > 1e-2:
         # Oscillatory: y(t) = A sin(k t + phi).
@@ -105,7 +103,7 @@ def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
         m_lo = math.floor((phi + k * snap) / math.pi) + 1
         m_hi = math.floor((phi + k * length) / math.pi)
         for m in range(m_lo, m_hi + 1):
-            zeros.append(x0 + unit * ((m * math.pi - phi) / k))
+            zeros.append(x0 + (m * math.pi - phi) / k)
         return
     # At most one zero on the stretch, where C(k2, t) y0 + S(k2, t) v = 0
     # in closed form.
@@ -114,7 +112,7 @@ def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
     else:
         ys, ts = y0, 0.0
     if y1 == 0.0:
-        zeros.append(x0 + unit * length)
+        zeros.append(x0 + length)
     elif (ys < 0.0) != (y1 < 0.0):
         ratio = -y0 / v
         if k2 < 0.0:
@@ -126,7 +124,7 @@ def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
         else:
             k = math.sqrt(k2)
             t_star = math.atan(k * ratio) / k
-        zeros.append(x0 + unit * min(max(t_star, ts), length))
+        zeros.append(x0 + min(max(t_star, ts), length))
 
 
 @lambda_entry
@@ -137,7 +135,9 @@ def interior_zeros(spec: ProblemSpec, lam: float) -> list[float]:
     on each stretch ``_stretch_zeros`` places the zeros in closed form: by
     the phase where the stretch oscillates; elsewhere there is at most one,
     which the end signs detect and an ``atanh``, linear or ``atan`` formula
-    places.
+    places.  Inside a sloped sixth-order Magnus step that closed form, the
+    step's ``exp(t Omega)``, is only about third order, so each zero placed
+    there takes one Newton step on the solution :func:`_carry` steps to it.
 
     Zeros within an end band of ``x = b`` are dropped.  For Dirichlet
     conditions at ``b`` the band is ``1e-6 * (b - a)``: at an eigenvalue the
@@ -155,11 +155,20 @@ def interior_zeros(spec: ProblemSpec, lam: float) -> list[float]:
     zeros: list[float] = []
     y0, yp0 = math.sin(spec.alpha), math.cos(spec.alpha)
     for piece in spec.coeff.pieces:
-        for e11, e12, e21, e22, _, _, h, _, d, z, x, length in stretches(
+        for e11, e12, e21, e22, _, _, dd, _, d, z, x, length in stretches(
                 piece, lam, piece.x0, piece.x1):
             y1, yp1 = e11 * y0 + e12 * yp0, e21 * y0 + e22 * yp0
-            _stretch_zeros(zeros, z, length, y0, d * y0 + h * yp0, y1, x, h,
-                           snap)
+            if dd:
+                # a sloped sixth-order Magnus step; constant stretches skip
+                # the polish bookkeeping in the else branch
+                placed = len(zeros)
+                _stretch_zeros(zeros, z, length, y0, d * y0 + yp0, y1, x, snap)
+                for i in range(placed, len(zeros)):
+                    y, yp = _carry(piece, lam, y0, yp0, x, zeros[i])
+                    if yp:
+                        zeros[i] = min(max(zeros[i] - y / yp, x), x + length)
+            else:
+                _stretch_zeros(zeros, z, length, y0, d * y0 + yp0, y1, x, snap)
             y0, yp0 = y1, yp1
     if not (abs(y0) + abs(yp0) < math.inf):
         raise overflow_failure(lam)
