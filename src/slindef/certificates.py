@@ -349,6 +349,8 @@ def certify_prop3(spec: ProblemSpec, lam: float, mus: Sequence[float],
     violates the hypotheses.
     """
     lam = float(lam)
+    if not (0.0 < tol < math.inf):
+        raise InvalidProblemError(f"tol must be positive and finite, got {tol!r}")
     d, scale = characteristic_scaled(spec, lam)
     if abs(d) > tol * scale:
         raise InvalidProblemError(

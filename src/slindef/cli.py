@@ -132,9 +132,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         if missing:
             raise InvalidProblemError(
                 f"certify --kind {kind} needs {', '.join(missing)}")
-        mu = float(args.mu)
+        mus = _parse_mus(args.mu)
+        if len(mus) != 1:
+            raise InvalidProblemError(
+                f"certify --kind {kind} needs one --mu value, got {args.mu!r}")
         fn = certs.certify_prop4 if kind == "prop4" else certs.certify_prop5
-        cert = fn(spec, mu, args.lambda_star, args.c, args.d, args.e)
+        cert = fn(spec, mus[0], args.lambda_star, args.c, args.d, args.e)
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidProblemError(f"unknown certificate kind {kind!r}")
     _write(args, certs.certificate_to_json(cert))

@@ -69,6 +69,8 @@ def _normalize_q(q: object, x0: float, x1: float) -> QSpec:
     if isinstance(q, Iterable):
         rows = []
         for row in q:  # type: ignore[assignment]
+            _require(isinstance(row, Iterable),
+                     f"q table rows must be [x, q] pairs, got {row!r}")
             pair = tuple(row)
             _require(len(pair) == 2, f"q table rows need 2 entries, got {pair!r}")
             rows.append((_as_finite_float(pair[0], "q table node"),
@@ -375,6 +377,8 @@ def _q_to_json(q: QSpec) -> dict:
 def _q_from_json(obj: object) -> QSpec | object:
     if isinstance(obj, dict):
         if set(obj) == {"const"}:
+            _require(isinstance(obj["const"], (int, float)),
+                     f"q 'const' must be a number, got {obj['const']!r}")
             return obj["const"]
         if set(obj) == {"table"}:
             return obj["table"]
@@ -428,8 +432,8 @@ def load_problem(path: str) -> ProblemSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidProblemError(f"problem file {path!r} is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidProblemError(f"problem file {path!r} is not valid UTF-8 JSON: {exc}") from exc
     return problem_from_dict(data)
 
 

@@ -10,13 +10,15 @@ eigenvalues), and dips of ``|D|`` that flag nearly coincident or genuinely
 double roots.  Complex eigenvalues are counted inside rectangles by the
 argument principle, integrating ``D'/D`` along the boundary by adaptive
 Gauss-Legendre; boxes are split until each holds one root, which Newton
-polishes.  Conjugation symmetry of returned pairs is enforced exactly for
-conjugation-symmetric rectangles.
+polishes.  Only the closed upper half-plane is searched: ``D`` has real
+coefficients, so ``D(conj z) = conj D(z)`` exactly, and every non-real root
+comes with its exact conjugate.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import logging
 import math
@@ -285,6 +287,14 @@ def _refine_bracket(f: Callable[[float], float], x0: float, x1: float,
     return (x0, g0) if abs(g0) <= abs(g1) else (x1, g1)
 
 
+def _bracket_root(dval: Callable[[float], float], x0: float, x1: float,
+                  tol: float) -> float:
+    """A sign change of ``dval`` on ``[x0, x1]``, refined by
+    :func:`_refine_bracket` to a quarter of ``tol`` relative."""
+    return _refine_bracket(dval, x0, x1, dval(x0), dval(x1),
+                           0.25 * tol * max(1.0, abs(x0), abs(x1)))[0]
+
+
 def _d_and_slope(spec: ProblemSpec, lam: complex | float
                  ) -> tuple[complex | float, complex | float, float]:
     """``(D, D', scale)`` at ``lam`` from one :func:`_lambda_fold` to ``b``:
@@ -363,11 +373,6 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
         if lo - 1e-9 * max(1.0, abs(lo)) <= polished <= hi + 1e-9 * max(1.0, abs(hi)):
             roots.append(polished)
 
-    def bracket_root(x0: float, x1: float) -> float:
-        r, _ = _refine_bracket(dval, x0, x1, dval(x0), dval(x1),
-                               0.25 * tol * max(1.0, abs(x0), abs(x1)))
-        return r
-
     def probe_flat_minimum(x0: float, x1: float) -> None:
         """Cell at maximum refinement that still dips: check for a genuine
         double root via a critical point of D."""
@@ -408,7 +413,7 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
                 stack.append((x0, x1 - nudge, depth + 1))
             continue
         if (d0 < 0.0) != (d1 < 0.0):
-            r = bracket_root(x0, x1)
+            r = _bracket_root(dval, x0, x1, tol)
             emit(r)
             margin = max(2.0 * tol * max(1.0, abs(r)), width * 1e-9)
             if depth < 64:
@@ -520,8 +525,8 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidProblemError(f"window must be finite with lo < hi, got {window!r}")
-    if not (tol > 0.0):
-        raise InvalidProblemError(f"tol must be positive, got {tol!r}")
+    if not (0.0 < tol < math.inf):
+        raise InvalidProblemError(f"tol must be positive and finite, got {tol!r}")
 
     # workers share one lattice, split on cell boundaries, so the found set
     # (and therefore the output bytes) is independent of the count
@@ -707,14 +712,19 @@ def find_complex_eigenvalues(spec: ProblemSpec,
                              tol: float = 1e-9) -> list[EigenRecord]:
     """All eigenvalues inside a closed rectangle of the complex plane.
 
+    Only the closed upper half-plane is searched: a rectangle below the real
+    axis as its mirror image, one that meets the axis as the box symmetric
+    about the axis that covers it.  Each root found stands for itself and
+    its exact conjugate, and each is kept if it lies in the rectangle.
     Roots are counted by :class:`_ArgumentCount`; a box holding more than
-    one is cut across its longer side, at the middle or, when the cut
-    fails its own count by passing next to a root, 0.025, 0.05 or 0.1 of
-    the side away, and a box holding one is polished by Newton from its
-    centre.  A rectangle whose own edge passes next to a root is widened.
-    If the rectangle is symmetric about the real axis the returned non-real
-    roots come in exactly conjugate pairs; roots within the numerical floor
-    of the axis are snapped to real and annotated like real-scan records.
+    one is cut across its longer side, at the middle or, when the cut fails
+    its own count by passing next to a root, 0.025, 0.05 or 0.1 of the side
+    away.  A tall symmetric box is cut at ``+-c`` into the strip
+    ``[-c, c]`` and the top box ``[c, h]``, ``c`` being 0, 0.05, 0.1 or 0.2
+    of ``h``; the bottom box, the top's mirror, is not searched.  A box
+    holding one root is polished by Newton from its centre; in a symmetric
+    box that root is real and is first bracketed on the axis.  A searched
+    box whose own edge passes next to a root is widened on every side.
 
     ``rect`` is either ``((re_lo, re_hi), (im_lo, im_hi))`` or a mapping
     ``{"re": (lo, hi), "im": (lo, hi)}``.
@@ -731,14 +741,20 @@ def find_complex_eigenvalues(spec: ProblemSpec,
     im_lo, im_hi = float(im_lo), float(im_hi)
     if not (re_lo < re_hi and im_lo < im_hi):
         raise InvalidProblemError(f"rectangle must have positive extent, got {rect!r}")
-    if not (tol > 0.0):
-        raise InvalidProblemError(f"tol must be positive, got {tol!r}")
+    if not (0.0 < tol < math.inf):
+        raise InvalidProblemError(f"tol must be positive and finite, got {tol!r}")
 
     base = _Rect(re_lo, re_hi, im_lo, im_hi)
-    symmetric = abs(im_lo + im_hi) <= 1e-12 * max(1.0, im_hi - im_lo)
+    if im_lo > 0.0:
+        search = base
+    elif im_hi < 0.0:
+        search = _Rect(re_lo, re_hi, -im_hi, -im_lo)
+    else:
+        h = max(-im_lo, im_hi)
+        search = _Rect(re_lo, re_hi, -h, h)
 
     counter = _ArgumentCount(spec)
-    outer = base
+    outer = search
     nudge = 0.0
     for attempt in range(4):
         try:
@@ -748,15 +764,12 @@ def find_complex_eigenvalues(spec: ProblemSpec,
             if attempt == 3:
                 raise
             nudge = 1e-3 * outer.diam * (attempt + 1)
-            outer = _Rect(base.re_lo - nudge, base.re_hi + nudge,
-                          base.im_lo - nudge, base.im_hi + nudge)
-            if symmetric:
-                outer = _Rect(outer.re_lo, outer.re_hi,
-                              -max(abs(outer.im_lo), outer.im_hi),
-                              max(abs(outer.im_lo), outer.im_hi))
+            outer = _Rect(search.re_lo - nudge, search.re_hi + nudge,
+                          search.im_lo - nudge, search.im_hi + nudge)
             log.warning("contour passed near a root; expanding the rectangle "
                         "by %r and retrying", nudge)
 
+    dval = functools.partial(characteristic, spec)
     roots: list[complex] = []
     stack: list[tuple[_Rect, int, int]] = [(outer, w_total, 0)]
     while stack:
@@ -767,8 +780,11 @@ def find_complex_eigenvalues(spec: ProblemSpec,
             raise NumericalFailure(
                 f"rectangle subdivision exceeded depth 60 near {r.center!r}")
         cen = r.center
+        symmetric = r.im_lo == -r.im_hi
         if w == 1:
-            z = _newton_polish(spec, cen)[0]
+            start = _bracket_root(dval, r.re_lo, r.re_hi, tol) if symmetric \
+                else cen
+            z = _newton_polish(spec, start)[0]
             if r.contains(z, slack=1e-12 * max(1.0, abs(z))):
                 roots.append(z)
                 continue
@@ -778,26 +794,31 @@ def find_complex_eigenvalues(spec: ProblemSpec,
             roots.append(z if r.contains(z, slack=r.diam) else cen)
             continue
         wide = (r.re_hi - r.re_lo) >= (r.im_hi - r.im_lo)
+        fold = symmetric and not wide
         lo, hi = (r.re_lo, r.re_hi) if wide else (r.im_lo, r.im_hi)
         last_err = None
         # a cut through (or next to) a root fails its own count: try the next
-        for shift in (0.0, 0.025, -0.025, 0.05, -0.05, 0.1, -0.1):
+        for shift in ((0.0, 0.025, 0.05, 0.1) if fold else
+                      (0.0, 0.025, -0.025, 0.05, -0.05, 0.1, -0.1)):
             cut = 0.5 * (lo + hi) + shift * (hi - lo)
             if wide:
                 r1 = _Rect(r.re_lo, cut, r.im_lo, r.im_hi)
                 r2 = _Rect(cut, r.re_hi, r.im_lo, r.im_hi)
             else:
-                r1 = _Rect(r.re_lo, r.re_hi, r.im_lo, cut)
+                r1 = _Rect(r.re_lo, r.re_hi, -cut if fold else r.im_lo, cut)
                 r2 = _Rect(r.re_lo, r.re_hi, cut, r.im_hi)
             try:
-                w1, w2 = counter.count(r1), counter.count(r2)
+                # the strip at cut 0 is the axis, and a root on it fails the
+                # top box's count
+                w1 = counter.count(r1) if r1.im_lo < r1.im_hi else 0
+                w2 = counter.count(r2)
             except ContourError as err:
                 last_err = err
                 continue
-            if w1 + w2 != w:
+            if w1 + (2 if fold else 1) * w2 != w:
                 last_err = ContourError(
                     f"winding counts are inconsistent after splitting {r!r}: "
-                    f"{w1} + {w2} != {w}")
+                    f"{w1} + {w2}{' twice' if fold else ''} != {w}")
                 continue
             stack.append((r1, w1, depth + 1))
             stack.append((r2, w2, depth + 1))
@@ -805,71 +826,23 @@ def find_complex_eigenvalues(spec: ProblemSpec,
         else:
             raise last_err
 
-    # Deduplicate, and drop anything the boundary nudge pulled in from
-    # outside the requested rectangle.
+    # Deduplicate, add each root's conjugate, and keep what lies in the
+    # requested rectangle: the mirror, the cover and the nudge reach outside.
     merged: list[complex] = []
     for z in sorted(roots, key=lambda v: (v.real, v.imag)):
         if merged and abs(z - merged[-1]) <= 10.0 * tol * max(1.0, abs(z)):
             continue
-        if not base.contains(z, slack=2.0 * nudge + 1e-12 * max(1.0, abs(z))):
-            log.warning("dropping root %r found only inside the nudged "
-                        "rectangle", z)
-            continue
         merged.append(z)
-
-    # Snap near-real roots; enforce conjugate pairing on symmetric rectangles.
-    reals: list[complex] = []
-    uppers: list[complex] = []
-    lowers: list[complex] = []
-    for z in merged:
-        if abs(z.imag) <= 1e-10 * max(1.0, abs(z.real)):
-            reals.append(complex(z.real, 0.0))
-        elif z.imag > 0:
-            uppers.append(z)
-        else:
-            lowers.append(z)
-    final: list[complex] = list(reals)
-    if symmetric:
-        used = [False] * len(lowers)
-        for zu in uppers:
-            partner = None
-            for i, zl in enumerate(lowers):
-                if used[i]:
-                    continue
-                if abs(zl.conjugate() - zu) <= 1e3 * tol * max(1.0, abs(zu)):
-                    partner = i
-                    break
-            if partner is not None:
-                used[partner] = True
-                zl = lowers[partner]
-                ru = abs(complex(characteristic(spec, zu)))
-                rl = abs(complex(characteristic(spec, zl)))
-                master = zu if ru <= rl else zl.conjugate()
-                final.append(master)
-                final.append(master.conjugate())
-            else:
-                final.append(zu)
-                final.append(zu.conjugate())
-        for i, zl in enumerate(lowers):
-            if not used[i]:
-                final.append(zl.conjugate())
-                final.append(zl)
-    else:
-        final.extend(uppers)
-        final.extend(lowers)
+    kept = {(v.real, v.imag) for z in merged for v in (z, z.conjugate())
+            if base.contains(v, slack=2.0 * nudge + 1e-12 * max(1.0, abs(v)))}
 
     records = []
-    seen: set[tuple[float, float]] = set()
-    for z in sorted(final, key=lambda v: (v.real, v.imag)):
-        key = (z.real, z.imag)
-        if key in seen:
-            continue
-        seen.add(key)
-        if z.imag == 0.0:
-            records.append(_real_record(spec, z.real))
+    for re, im in sorted(kept):
+        if im == 0.0:
+            records.append(_real_record(spec, re))
         else:
-            d, _ = characteristic_scaled(spec, z)
-            records.append(EigenRecord(z.real, z.imag, None, None, abs(d)))
+            d, _ = characteristic_scaled(spec, complex(re, im))
+            records.append(EigenRecord(re, im, None, None, abs(d)))
     return records
 
 

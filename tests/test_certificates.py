@@ -208,6 +208,12 @@ class TestProp3:
         with pytest.raises(InvalidProblemError):
             certify_prop3(one_tp_m10, 12.34, [0.0])
 
+    @pytest.mark.parametrize("tol", [0.0, math.inf, math.nan])
+    def test_non_finite_tol_rejected(self, one_tp_m10, tol):
+        # an infinite or NaN tol would pass any lambda as an eigenvalue
+        with pytest.raises(InvalidProblemError):
+            certify_prop3(one_tp_m10, 5.0, [0.0], tol=tol)
+
 
 # --------------------------------------------------------------------------
 # Pocket certificates

@@ -110,6 +110,37 @@ def test_scan_bad_window_exit_2(capsys, one_tp_file):
     assert rc == 2
 
 
+def test_scan_infinite_tol_exit_2(capsys, one_tp_file):
+    rc, out, err = run(capsys, "scan", one_tp_file, "--window", "-60", "60",
+                       "--tol", "inf")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("q, message", [
+    ({"table": [1, 2]}, "pairs"),
+    ({"const": [1]}, "'const' must be a number"),
+    ({"const": "abc"}, "'const' must be a number"),   # not a table of chars
+])
+def test_scan_malformed_q_exit_2(capsys, tmp_path, q, message):
+    bad = tmp_path / "bad_q.json"
+    bad.write_text(json.dumps({"pieces": [
+        {"x0": 0.0, "x1": 1.0, "w": 1.0, "q": q}]}))
+    rc, _, err = run(capsys, "scan", str(bad), "--window", "0", "1")
+    assert rc == 2
+    assert err.startswith("error:")
+    assert message in err
+
+
+def test_scan_non_utf8_file_exit_2(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"pieces": "\xe9"}')
+    rc, _, err = run(capsys, "scan", str(bad), "--window", "0", "1")
+    assert rc == 2
+    assert err.startswith("error:")
+
+
 # --------------------------------------------------------------------------
 # complex-scan
 # --------------------------------------------------------------------------
@@ -268,6 +299,26 @@ def test_certify_prop5_reports_invalid_without_failing(capsys, app_file):
     assert rc == 0                    # checking ran fine; the answer is "no"
     doc = json.loads(out)
     assert doc["valid"] is False
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_certify_prop3_non_finite_tol_exit_2(capsys, one_tp_file, tol):
+    # 5 is no eigenvalue: |D| / scale = 0.31 there
+    rc, out, err = run(capsys, "certify", one_tp_file, "--kind", "prop3",
+                       "--lam", "5", "--mu", "0", "--tol", tol)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ["prop4", "prop5"])
+@pytest.mark.parametrize("mu", ["abc", "1,2", ""])
+def test_certify_bad_mu_exit_2(capsys, app_file, kind, mu):
+    rc, _, err = run(capsys, "certify", app_file, "--kind", kind,
+                     "--mu", mu, "--lambda-star", "10.5",
+                     "--c", "0", "--d", "0.7", "--e", "1.7")
+    assert rc == 2
+    assert err.startswith("error:")
 
 
 def test_certify_missing_argument_exit_2(capsys):

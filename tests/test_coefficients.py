@@ -197,6 +197,9 @@ class TestJsonIO:
         lambda d: d["pieces"][0].update(q={"bad": 0.0}),
         lambda d: d["pieces"][0].update(shape="round"),
         lambda d: d.update(alpha=-1.0),
+        lambda d: d["pieces"][0].update(q={"table": [1, 2]}),  # scalar rows
+        lambda d: d["pieces"][0].update(q={"const": [1]}),
+        lambda d: d["pieces"][0].update(q={"const": "abc"}),
     ])
     def test_rejects_malformed_documents(self, app_spec, mutate):
         d = problem_to_dict(app_spec)

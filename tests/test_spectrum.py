@@ -8,10 +8,11 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slindef import (
+    ContourError,
     EigenRecord,
     InvalidProblemError,
     NumericalFailure,
@@ -572,8 +573,10 @@ class TestRealScan:
             find_real_eigenvalues(classical_spec, window)
 
     def test_rejects_bad_tol(self, classical_spec):
-        with pytest.raises(InvalidProblemError):
-            find_real_eigenvalues(classical_spec, (0.0, 1.0), tol=-1e-9)
+        # an infinite tol would let the merge band swallow every root
+        for tol in (-1e-9, math.inf, math.nan):
+            with pytest.raises(InvalidProblemError):
+                find_real_eigenvalues(classical_spec, (0.0, 1.0), tol=tol)
 
 
 # the tabulated problem of the README's problem-file example
@@ -701,7 +704,8 @@ class TestComplexScan:
             assert r.zeros_in_ab is None
             assert r.weighted_norm is None
 
-    def test_real_eigenvalue_inside_rect_is_snapped(self, classical_spec):
+    def test_real_eigenvalue_inside_rect_is_exactly_real(self,
+                                                         classical_spec):
         out = find_complex_eigenvalues(classical_spec,
                                        {"re": (5.0, 15.0), "im": (-1.0, 1.0)},
                                        1e-9)
@@ -740,6 +744,75 @@ class TestComplexScan:
     def test_rejects_bad_rects(self, classical_spec, rect):
         with pytest.raises(InvalidProblemError):
             find_complex_eigenvalues(classical_spec, rect)
+
+    @pytest.mark.parametrize("tol", [0.0, math.inf, math.nan])
+    def test_rejects_bad_tol(self, one_tp_p13, tol):
+        with pytest.raises(InvalidProblemError):
+            find_complex_eigenvalues(one_tp_p13, ((-20.0, 20.0),
+                                                  (-20.0, 20.0)), tol)
+
+    def test_skew_rect_returns_exact_conjugate_pairs(self, one_tp_p13):
+        # the lower edge cuts below both pairs, so all four roots are inside
+        out = find_complex_eigenvalues(one_tp_p13, {"re": (-20.0, 20.0),
+                                                    "im": (-5.0, 20.0)})
+        as_set = {(r.re_lambda, r.im_lambda) for r in out}
+        assert len(as_set) == 4
+        assert {(re, -im) for re, im in as_set} == as_set
+        re0, im0 = ONE_TP_P13_PAIR
+        for re, im in as_set:
+            assert abs(re) == pytest.approx(re0, rel=1e-12)
+            assert abs(im) == pytest.approx(im0, rel=1e-12)
+
+    def test_lone_real_root_of_a_strip_is_bracketed(self):
+        # Newton from the strip's real centre stalls at an extremum of D
+        spec = application_problem(8.0)
+        out = find_complex_eigenvalues(spec, {"re": (-60.3, 60.3),
+                                              "im": (-20.0, 20.0)})
+        assert any(r.is_real and r.re_lambda == pytest.approx(
+            22.24163150198956, rel=1e-12) for r in out)
+        for r in out:
+            d, scale = characteristic_scaled(spec, r.lam)
+            assert abs(d) <= 1e-10 * scale
+
+    def test_strip_roots_are_the_real_scan_roots(self):
+        # the box's last real root is 19.15; Newton from a strip's real
+        # centre stalls at 0.14, where |D| / scale = 0.17
+        spec = one_turning_point(27.5)
+        out = find_complex_eigenvalues(spec, {"re": (-47.0, 22.5),
+                                              "im": (-5.0, 5.0)})
+        real = find_real_eigenvalues(spec, (-47.0, 22.5)).eigenvalues
+        assert len(real) == 3
+        assert all(r.im_lambda == 0.0 for r in out)
+        assert [r.re_lambda for r in out] == pytest.approx(real, rel=1e-12)
+
+    @settings(max_examples=30)
+    @given(st.one_of(st.floats(3.0, 40.0).map(one_turning_point),
+                     st.floats(0.0, 20.0).map(application_problem)),
+           st.sampled_from(("symmetric", "skew", "below")),
+           st.floats(-20.0, -0.5), st.floats(0.5, 20.0),
+           st.floats(0.5, 10.0), st.floats(0.5, 10.0))
+    def test_conjugate_closure_property(self, spec, shape, re_lo, re_hi,
+                                        a, b):
+        im_lo, im_hi = {"symmetric": (-a, a), "skew": (-a, 2.0 * b),
+                        "below": (-a - b, -b)}[shape]
+        try:
+            out = find_complex_eigenvalues(spec, ((re_lo, re_hi),
+                                                  (im_lo, im_hi)))
+        except (ContourError, NumericalFailure):
+            return
+        as_set = {(r.re_lambda, r.im_lambda) for r in out}
+        for re, im in as_set:
+            if im != 0.0 and im_lo <= -im <= im_hi:
+                assert (re, -im) in as_set
+        for r in out:
+            if abs(r.im_lambda) <= 1e-8 * max(1.0, abs(r.re_lambda)):
+                assert r.im_lambda == 0.0
+                assert r.zeros_in_ab is not None
+        if shape == "below":
+            mirror = find_complex_eigenvalues(spec, ((re_lo, re_hi),
+                                                     (-im_hi, -im_lo)))
+            assert sorted(as_set) == sorted(
+                (r.re_lambda, -r.im_lambda) for r in mirror)
 
     @pytest.mark.parametrize("q0", [6.0, 13.0, 18.5])
     def test_symmetric_rect_closure_property(self, q0):
