@@ -17,21 +17,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from slindef import application_problem, certify_application, richardson_numbers
 from slindef.errors import SlindefError
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    m_from: float
-    m_to: float
-    step: float
-    q_factor: float
-    window_pad: float
-    tol: float
-    out: str | None
 
 
 def _fmt(value) -> str:
@@ -40,20 +28,20 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-def run(config: StudyConfig) -> str:
+def run(args: argparse.Namespace) -> str:
     rows = ["m,q0,certificate_valid,bound,lambda_plus,slack,seconds"]
-    m = config.m_from
-    while m <= config.m_to + 1e-12:
-        q0 = config.q_factor * m
+    m = args.m_from
+    while m <= args.m_to + 1e-12:
+        q0 = args.q_factor * m
         t0 = time.monotonic()
         try:
             cert = certify_application(m, q0)
-            lim = 10.5 * m + abs(q0) + config.window_pad
+            lim = 10.5 * m + abs(q0) + args.window_pad
             rep = richardson_numbers(application_problem(q0),
-                                     (-lim, lim), config.tol)
+                                     (-lim, lim), args.tol)
         except SlindefError as exc:
             print(f"M={m:g}: {exc}", file=sys.stderr)
-            m += config.step
+            m += args.step
             continue
         dt = time.monotonic() - t0
         slack = (None if rep.lambda_plus is None
@@ -64,7 +52,7 @@ def run(config: StudyConfig) -> str:
         ]))
         print(f"M={m:g}: valid={cert.valid} bound={cert.bound:g} "
               f"lambda_plus={rep.lambda_plus} ({dt:.2f}s)", file=sys.stderr)
-        m += config.step
+        m += args.step
     return "\n".join(rows) + "\n"
 
 
@@ -86,14 +74,11 @@ def main(argv: list[str] | None = None) -> int:
         print("q-factor must lie in [-1, 1] so that |q| <= M", file=sys.stderr)
         return 2
 
-    config = StudyConfig(m_from=args.m_from, m_to=args.m_to, step=args.step,
-                         q_factor=args.q_factor, window_pad=args.window_pad,
-                         tol=args.tol, out=args.out)
-    csv = run(config)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    csv = run(args)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv)
-        print(f"wrote {config.out}", file=sys.stderr)
+        print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(csv)
     return 0

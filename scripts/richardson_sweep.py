@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from slindef import (
     application_problem,
@@ -30,27 +29,12 @@ from slindef import (
 from slindef.errors import SlindefError
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    family: str
-    q0_from: float
-    q0_to: float
-    step: float
-    blocks: tuple[float, float, float]
-    window_pad: float
-    tol: float
-    out: str | None
-
-
-def _build(config: SweepConfig, q0: float):
-    if config.family == "one_tp":
+def _build(args: argparse.Namespace, q0: float):
+    if args.family == "one_tp":
         return one_turning_point(q0)
-    if config.family == "two_tp":
-        a, b, c = config.blocks
-        return two_turning_point(a, b, c, q0)
-    if config.family == "application":
-        return application_problem(q0)
-    raise ValueError(f"unknown family {config.family!r}")
+    if args.family == "two_tp":
+        return two_turning_point(*args.blocks, q0)
+    return application_problem(q0)
 
 
 def _fmt(value) -> str:
@@ -59,18 +43,17 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-def run(config: SweepConfig) -> str:
+def run(args: argparse.Namespace) -> str:
     rows = ["q0,lambda_plus,lambda_minus,n_r,n_h,n_eigenvalues,seconds"]
-    q0 = config.q0_from
-    while q0 <= config.q0_to + 1e-12:
-        lim = abs(q0) + config.window_pad
+    q0 = args.q0_from
+    while q0 <= args.q0_to + 1e-12:
+        lim = abs(q0) + args.window_pad
         t0 = time.monotonic()
         try:
-            rep = richardson_numbers(_build(config, q0), (-lim, lim),
-                                     config.tol)
+            rep = richardson_numbers(_build(args, q0), (-lim, lim), args.tol)
         except SlindefError as exc:
             print(f"q0={q0:g}: {exc}", file=sys.stderr)
-            q0 += config.step
+            q0 += args.step
             continue
         dt = time.monotonic() - t0
         rows.append(",".join([
@@ -81,7 +64,7 @@ def run(config: SweepConfig) -> str:
         ]))
         print(f"q0={q0:g}: lambda_plus={rep.lambda_plus} "
               f"lambda_minus={rep.lambda_minus} ({dt:.2f}s)", file=sys.stderr)
-        q0 += config.step
+        q0 += args.step
     return "\n".join(rows) + "\n"
 
 
@@ -103,16 +86,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="write CSV here instead of stdout")
     args = parser.parse_args(argv)
 
-    config = SweepConfig(family=args.family, q0_from=args.q0_from,
-                         q0_to=args.q0_to, step=args.step,
-                         blocks=tuple(args.blocks),
-                         window_pad=args.window_pad, tol=args.tol,
-                         out=args.out)
-    csv = run(config)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    csv = run(args)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv)
-        print(f"wrote {config.out}", file=sys.stderr)
+        print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(csv)
     return 0

@@ -4,7 +4,7 @@ may change sign.
 
 Highlights:
 
-* entire-in-``lambda`` transfer-matrix propagation (:mod:`slindef.propagator`);
+* entire-in-``lambda`` propagation of the solution (:mod:`slindef.propagator`);
 * real-window and complex-rectangle eigenvalue searches with oscillation
   counts (:mod:`slindef.spectrum`);
 * signed weighted norms, spectral asymmetry thresholds, and zero drift
@@ -22,8 +22,7 @@ from .coefficients import (Piece, PiecewiseCoefficient, ProblemSpec,
 from .errors import (ContourError, DriftUndefined, EmptyWindowError,
                      HypothesisViolation, InvalidProblemError,
                      NumericalFailure, SlindefError)
-from .propagator import (StateVector, TransferMatrix, cs_kernels, propagate,
-                         solution_at)
+from .propagator import StateVector, cs_kernels, solution_at
 from .spectrum import (EigenRecord, ScanResult, characteristic, count_zeros,
                        find_complex_eigenvalues, find_real_eigenvalues,
                        interior_zeros, records_to_csv, scan_to_csv,
@@ -48,8 +47,7 @@ __all__ = [
     "ContourError", "DriftUndefined", "EmptyWindowError",
     "HypothesisViolation", "InvalidProblemError", "NumericalFailure",
     "SlindefError",
-    "StateVector", "TransferMatrix", "cs_kernels", "propagate",
-    "solution_at",
+    "StateVector", "cs_kernels", "solution_at",
     "EigenRecord", "ScanResult", "characteristic", "count_zeros",
     "find_complex_eigenvalues", "find_real_eigenvalues", "interior_zeros",
     "records_to_csv", "scan_to_csv", "scan_to_json",

@@ -23,14 +23,15 @@ keeps the fourth-order exponent, whose error does not grow with
 constant piece is one stretch, a tabulated piece its Magnus steps, each a
 flow ``C(z, t) I + S(z, t) Omega``.  Every walk of the interval folds
 the state ``(y, y')`` over it by the same update, so ``D``, its derivative,
-the zero count, the norm and the zero drift all read one computed solution
-bit for bit: :func:`_carry` crosses a piece for ``characteristic_scaled``,
-:func:`solution_at` and :func:`propagate` (whose transfer matrix is the
-fold of its two fundamental columns); only ``characteristic_scaled``, the
-hottest loop, crosses constant pieces with the same arithmetic inline.
+the zero count, the norm, the zero drift and :func:`solution_at` all read
+one computed solution bit for bit: :func:`_carry` crosses a piece for
+``characteristic_scaled`` and the zero walk; only ``characteristic_scaled``,
+the hottest loop, crosses constant pieces with the same arithmetic inline.
 Every stretch carries the lambda-derivative of ``(y, y')`` in closed form,
-and one fold, :func:`_lambda_fold`, serves every use of it: the weighted
-norm by the Lagrange identity, Newton's exact ``D'`` and the zero drift.
+and one fold, :func:`_lambda_fold`, serves every use of it: the states of
+:func:`solution_at`, the weighted norm by the Lagrange identity, Newton's
+exact ``D'`` and the zero drift.  The fundamental solutions are
+:func:`solution_at` with ``alpha = 0`` and ``alpha = pi/2``.
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ from .errors import (InvalidProblemError, NumericalFailure, lambda_entry,
 
 __all__ = [
     "StateVector",
-    "TransferMatrix",
     "cs_kernels",
-    "propagate",
     "solution_at",
     "stretches",
     "weighted_norm",
@@ -107,30 +106,6 @@ class StateVector:
     x: float
     y: Scalar
     yp: Scalar
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 matrix carrying ``(y, y')`` from ``x0`` to ``x1``.
-
-    Columns are the fundamental solutions with ``(y, y') = (1, 0)`` and
-    ``(0, 1)`` at ``x0``.  The Wronskian determinant is identically 1 for the
-    exact flow; :attr:`det` exposes the computed value as a health check.
-    """
-
-    m11: Scalar
-    m12: Scalar
-    m21: Scalar
-    m22: Scalar
-    x0: float
-    x1: float
-
-    @property
-    def det(self) -> Scalar:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def apply(self, y: Scalar, yp: Scalar) -> tuple[Scalar, Scalar]:
-        return (self.m11 * y + self.m12 * yp, self.m21 * y + self.m22 * yp)
 
 
 # ---------------------------------------------------------------------------
@@ -251,43 +226,14 @@ def _carry(piece: Piece, lam: Scalar, y: Scalar, yp: Scalar,
 
 
 @lambda_entry
-def propagate(spec: ProblemSpec, lam: Scalar) -> tuple[StateVector, TransferMatrix]:
-    """Cross the whole interval: terminal state at ``b`` and the transfer
-    matrix over ``[a, b]``, whose columns are the solutions launched with
-    ``(y, y') = (1, 0)`` and ``(0, 1)`` at ``a``."""
-    states = ((1.0, 0.0), (0.0, 1.0),
-              (math.sin(spec.alpha), math.cos(spec.alpha)))
-    for piece in spec.pieces:
-        states = tuple(_carry(piece, lam, y, yp, piece.x0, piece.x1)
-                       for y, yp in states)
-    (m11, m21), (m12, m22), (y, yp) = states
-    if not (abs(y) + abs(yp) < math.inf):
-        raise overflow_failure(lam)
-    return (StateVector(spec.b, y, yp),
-            TransferMatrix(m11, m12, m21, m22, spec.a, spec.b))
-
-
-@lambda_entry
 def solution_at(spec: ProblemSpec, lam: Scalar,
                 xs: Sequence[float]) -> list[StateVector]:
     """Solution states at the requested locations (any order, must lie in
-    ``[a, b]``).  Each point is carried from the state at the start of the
-    piece that governs it, by the right-limit rule of
-    :meth:`PiecewiseCoefficient.piece_at`.  The start state is carried only
-    as far as the last piece a point needs; a state that overflows raises
-    :class:`NumericalFailure`."""
-    located = [(x, spec.coeff.piece_at(x)) for x in xs]
-    last = max((piece.x0 for _, piece in located), default=spec.a)
-    starts = {}
-    y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
-    for piece in spec.pieces:
-        starts[piece.x0] = y, yp
-        if piece.x0 == last:
-            break
-        y, yp = _carry(piece, lam, y, yp, piece.x0, piece.x1)
-    states = [StateVector(x, *_carry(piece, lam, *starts[piece.x0], piece.x0,
-                                     x))
-              for x, piece in located]
+    ``[a, b]``), each the ``(y, y')`` of one :func:`_lambda_fold` to its
+    point; a state that overflows raises :class:`NumericalFailure`."""
+    for x in xs:
+        spec.coeff.piece_at(x)
+    states = [StateVector(x, *_lambda_fold(spec, lam, x)[:2]) for x in xs]
     if not all(abs(st.y) + abs(st.yp) < math.inf for st in states):
         raise overflow_failure(lam)
     return states

@@ -447,10 +447,12 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
     return roots
 
 
-def _merge_roots(roots: Sequence[float], tol: float) -> list[float]:
-    out: list[float] = []
-    for r in sorted(roots):
-        if out and r - out[-1] <= 10.0 * tol * max(1.0, abs(r)):
+def _merge_roots(roots: Sequence[complex | float], tol: float) -> list:
+    """The roots in ``(re, im)`` order, each dropped that lies within
+    ``10 tol max(1, |r|)`` of the last one kept."""
+    out: list = []
+    for r in sorted(roots, key=lambda v: (v.real, v.imag)):
+        if out and abs(r - out[-1]) <= 10.0 * tol * max(1.0, abs(r)):
             continue
         out.append(r)
     return out
@@ -828,12 +830,8 @@ def find_complex_eigenvalues(spec: ProblemSpec,
 
     # Deduplicate, add each root's conjugate, and keep what lies in the
     # requested rectangle: the mirror, the cover and the nudge reach outside.
-    merged: list[complex] = []
-    for z in sorted(roots, key=lambda v: (v.real, v.imag)):
-        if merged and abs(z - merged[-1]) <= 10.0 * tol * max(1.0, abs(z)):
-            continue
-        merged.append(z)
-    kept = {(v.real, v.imag) for z in merged for v in (z, z.conjugate())
+    kept = {(v.real, v.imag) for z in _merge_roots(roots, tol)
+            for v in (z, z.conjugate())
             if base.contains(v, slack=2.0 * nudge + 1e-12 * max(1.0, abs(v)))}
 
     records = []

@@ -10,6 +10,7 @@ import math
 import random
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -28,8 +29,8 @@ from slindef import (
     find_real_eigenvalues,
     interior_zeros,
     one_turning_point,
-    propagate,
     richardson_numbers,
+    solution_at,
     two_turning_point,
     verify_lemma_lower,
     verify_lemma_upper,
@@ -430,12 +431,14 @@ def test_criterion_8_numerical_invariants(capsys):
     rng = random.Random(987654321)
     problems = []
 
-    # (a) unit Wronskian across 1000 draws with |lambda| <= 1e4, measured
-    # relative to the product magnitudes; plus the literal absolute defect
-    # in the moderate regime.  The gate for the literal form is the summed
-    # growth exponent S = sum_p sqrt(|lam w| + max|q|) * len: the chained
-    # matrix product carries rounding of size eps * exp(2 S), so past
-    # S ~ 5 a literal 1e-10 defect is below the representable floor.
+    # (a) unit Wronskian of the fundamental pair (the solutions with
+    # alpha = pi/2 and alpha = 0) at b across 1000 draws with
+    # |lambda| <= 1e4, measured relative to the product magnitudes; plus
+    # the literal absolute defect in the moderate regime.  The gate for the
+    # literal form is the summed growth exponent
+    # S = sum_p sqrt(|lam w| + max|q|) * len: the states carry rounding of
+    # size eps * exp(2 S), so past S ~ 5 a literal 1e-10 defect is below
+    # the representable floor.
     def _growth_exponent(spec, lam):
         total = 0.0
         for p in spec.pieces:
@@ -467,9 +470,10 @@ def test_criterion_8_numerical_invariants(capsys):
         else:
             spec = _draw_spec(rng)
             lam = rng.uniform(-1e4, 1e4)
-        _, total = propagate(spec, lam)
-        det = total.m11 * total.m22 - total.m12 * total.m21
-        scale = max(1.0, abs(total.m11 * total.m22) + abs(total.m12 * total.m21))
+        (u,) = solution_at(replace(spec, alpha=math.pi / 2), lam, [spec.b])
+        (v,) = solution_at(replace(spec, alpha=0.0), lam, [spec.b])
+        det = u.y * v.yp - v.y * u.yp
+        scale = max(1.0, abs(u.y * v.yp) + abs(v.y * u.yp))
         if abs(det - 1.0) / scale > 1e-10:
             problems.append(f"draw {i}: relative Wronskian defect "
                             f"{abs(det - 1.0) / scale:.2e}")
@@ -490,8 +494,8 @@ def test_criterion_8_numerical_invariants(capsys):
         table = Piece(0.0, x1, w, ((0.0, q0), (x1, q0)))
         sc = ProblemSpec(PiecewiseCoefficient((const,)))
         st = ProblemSpec(PiecewiseCoefficient((table,)))
-        yc, _ = propagate(sc, lam)
-        yt, _ = propagate(st, lam)
+        (yc,) = solution_at(sc, lam, [x1])
+        (yt,) = solution_at(st, lam, [x1])
         norm = max(1.0, abs(yc.y), abs(yc.yp))
         if abs(yc.y - yt.y) / norm > 1e-8 or abs(yc.yp - yt.yp) / norm > 1e-8:
             problems.append(

@@ -1,8 +1,9 @@
-"""Transfer-matrix kernels, propagation, and the Magnus steps."""
+"""Oscillator kernels, stretches, propagation, and the Magnus steps."""
 
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,10 @@ from slindef import (
     PiecewiseCoefficient,
     ProblemSpec,
     cs_kernels,
-    propagate,
     solution_at,
 )
 from slindef import propagator
-from slindef.propagator import _ds_dz
+from slindef.propagator import _ds_dz, stretches
 
 from oracles import ivp_states, kernel_integrals
 
@@ -28,10 +28,31 @@ def one_piece(piece) -> ProblemSpec:
     return ProblemSpec(PiecewiseCoefficient((piece,)))
 
 
-def rel_det_defect(m) -> float:
-    det = m.m11 * m.m22 - m.m12 * m.m21
-    scale = max(1.0, abs(m.m11 * m.m22) + abs(m.m12 * m.m21))
+def terminal(spec, lam):
+    """The solution's state at ``b``."""
+    (state,) = solution_at(spec, lam, [spec.b])
+    return state
+
+
+def fundamental_pair(spec, lam, x):
+    """The states at ``x`` of the fundamental solutions: ``alpha = pi/2``
+    and ``alpha = 0`` launch ``(1, 0)`` and ``(0, 1)`` at ``a``."""
+    (u,) = solution_at(replace(spec, alpha=math.pi / 2), lam, [x])
+    (v,) = solution_at(replace(spec, alpha=0.0), lam, [x])
+    return u, v
+
+
+def rel_det_defect(e11, e12, e21, e22) -> float:
+    det = e11 * e22 - e12 * e21
+    scale = max(1.0, abs(e11 * e22) + abs(e12 * e21))
     return abs(det - 1.0) / scale
+
+
+def wronskian_defect(spec, lam, x) -> float:
+    """Relative defect of the fundamental pair's Wronskian at ``x``,
+    which is 1 for the exact flow."""
+    u, v = fundamental_pair(spec, lam, x)
+    return rel_det_defect(u.y, v.y, u.yp, v.yp)
 
 
 # --------------------------------------------------------------------------
@@ -144,20 +165,51 @@ class TestKernelDerivative:
 
 
 # --------------------------------------------------------------------------
-# Transfer matrices
+# Stretches and the transfer across a piece
 # --------------------------------------------------------------------------
+
+@st.composite
+def pieces(draw):
+    """One piece of either weight sign, with a constant or a 2-4-node
+    tabulated potential."""
+    length = draw(st.floats(min_value=0.05, max_value=1.0))
+    w = draw(st.sampled_from((-1.0, 1.0))) * draw(
+        st.floats(min_value=0.2, max_value=3.0))
+    qs = draw(st.lists(st.floats(min_value=-50.0, max_value=50.0),
+                       min_size=1, max_size=4))
+    if len(qs) == 1:
+        return Piece(0.0, length, w, qs[0])
+    nodes = [length * j / (len(qs) - 1) for j in range(len(qs))]
+    nodes[-1] = length
+    return Piece(0.0, length, w, tuple(zip(nodes, qs)))
+
+
+class TestStretches:
+    @given(pieces(), st.floats(min_value=-1e4, max_value=1e4),
+           st.one_of(st.just(0.0), st.floats(min_value=-300.0,
+                                              max_value=300.0)),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_every_flow_has_unit_determinant(self, piece, lam, im, f0, f1):
+        # the flow exp(t Omega) of a traceless Omega: the Wronskian at its
+        # source, for a constant piece's one stretch and every Magnus step
+        x_from, x_to = sorted((f0 * piece.x1, f1 * piece.x1))
+        for z in (lam, complex(lam, im)):
+            for e11, e12, e21, e22, *_ in stretches(piece, z, x_from, x_to):
+                assert rel_det_defect(e11, e12, e21, e22) <= 1e-12
+
 
 class TestTransfer:
     @given(st.floats(min_value=-1e4, max_value=1e4),
            st.floats(min_value=0.01, max_value=3.0))
     def test_unit_wronskian(self, k2, length):
-        _, m = propagate(one_piece(Piece(0.0, length, 1.0, k2)), 0.0)
-        assert rel_det_defect(m) <= 1e-10
+        spec = one_piece(Piece(0.0, length, 1.0, k2))
+        assert wronskian_defect(spec, 0.0, spec.b) <= 1e-10
 
     @given(st.floats(min_value=-30.0, max_value=80.0))
     def test_constant_piece_matches_ivp_oracle(self, lam):
         spec = ProblemSpec(PiecewiseCoefficient((Piece(0.0, 1.0, -2.0, 3.0),)))
-        term, _ = propagate(spec, lam)
+        term = terminal(spec, lam)
         y_ref, yp_ref = ivp_states(spec, lam)
         scale = max(1.0, abs(y_ref), abs(yp_ref))
         assert abs(term.y - y_ref) / scale < 1e-8
@@ -167,7 +219,7 @@ class TestTransfer:
     def test_sampled_piece_matches_ivp_oracle(self, lam):
         spec = ProblemSpec(PiecewiseCoefficient((
             Piece(0.0, 1.0, 1.5, ((0.0, -2.0), (0.4, 1.0), (1.0, 3.0))),)))
-        term, _ = propagate(spec, lam)
+        term = terminal(spec, lam)
         y_ref, yp_ref = ivp_states(spec, lam)
         scale = max(1.0, abs(y_ref), abs(yp_ref))
         assert abs(term.y - y_ref) / scale < 1e-8
@@ -179,11 +231,12 @@ class TestTransfer:
         for lam in (-17.3, 0.0, 4.2, 61.7):
             const_piece = Piece(0.0, 0.9, -1.3, 2.5)
             table_piece = Piece(0.0, 0.9, -1.3, ((0.0, 2.5), (0.9, 2.5)))
-            _, mc = propagate(one_piece(const_piece), lam)
-            _, mt = propagate(one_piece(table_piece), lam)
-            for attr in ("m11", "m12", "m21", "m22"):
-                assert getattr(mc, attr) == pytest.approx(
-                    getattr(mt, attr), rel=1e-8, abs=1e-8)
+            for const, table in zip(
+                    fundamental_pair(one_piece(const_piece), lam, 0.9),
+                    fundamental_pair(one_piece(table_piece), lam, 0.9)):
+                assert const.y == pytest.approx(table.y, rel=1e-8, abs=1e-8)
+                assert const.yp == pytest.approx(table.yp, rel=1e-8,
+                                                 abs=1e-8)
 
 
 # --------------------------------------------------------------------------
@@ -203,9 +256,12 @@ class TestPropagation:
         assert len(states) == len(app_spec.pieces) + 1
         assert states[0].x == app_spec.a
         assert states[-1].x == app_spec.b
-        term, total = propagate(app_spec, 7.0)
-        assert term.y == states[-1].y and term.yp == states[-1].yp
-        assert rel_det_defect(total) <= 1e-10
+        # each breakpoint's state, carried across its piece, is the next
+        for piece, start, end in zip(app_spec.pieces, states, states[1:]):
+            assert propagator._carry(piece, 7.0, start.y, start.yp,
+                                     piece.x0, piece.x1) == (end.y, end.yp)
+        for x in app_spec.coeff.breakpoints:
+            assert wronskian_defect(app_spec, 7.0, x) <= 1e-10
 
     def test_solution_at_matches_dense_oracle(self, one_tp_m10):
         lam = 20.0
@@ -217,19 +273,21 @@ class TestPropagation:
             ref = float(np.interp(x, ox, oy))
             assert state.y == pytest.approx(ref, abs=5e-9)
 
-    def test_propagate_composes_drawn_breakpoints(self):
-        # x0 + (x1 - x0) can miss x1 by an ulp, so a transfer stamped that
-        # way fails to compose with the next piece's
+    def test_solution_at_composes_drawn_breakpoints(self):
+        # the state at b is the launch state carried across every drawn
+        # piece from its x0 to its x1, bit for bit
         rng = random.Random(2)
         for _ in range(100):
             xs = [-1.0, *sorted(rng.uniform(-1.0, 2.0) for _ in range(3)), 2.0]
             spec = ProblemSpec(PiecewiseCoefficient(tuple(
                 Piece(x0, x1, rng.choice((-1.0, 1.0)), rng.uniform(-10.0, 10.0))
                 for x0, x1 in zip(xs, xs[1:]))))
-            term, total = propagate(spec, 5.0)
-            assert (total.x0, total.x1, term.x) == (-1.0, 2.0, 2.0)
+            y, yp = 0.0, 1.0
+            for piece in spec.pieces:
+                y, yp = propagator._carry(piece, 5.0, y, yp, piece.x0,
+                                          piece.x1)
             (end,) = solution_at(spec, 5.0, [2.0])
-            assert (term.y, term.yp) == (end.y, end.yp)
+            assert (end.x, end.y, end.yp) == (2.0, y, yp)
 
     def test_constant_norm_shares_the_stretch_kernel(self, monkeypatch,
                                                      one_tp_m10):
@@ -249,17 +307,15 @@ class TestPropagation:
                                                           app_spec):
         calls = []
 
-        carry = propagator._carry
-
         def counted(piece, *rest):
             calls.append(piece)
-            return carry(piece, *rest)
+            return stretches(piece, *rest)
 
-        monkeypatch.setattr(propagator, "_carry", counted)
-        for x, want in ((app_spec.a, 1), (app_spec.b, len(app_spec.pieces))):
+        monkeypatch.setattr(propagator, "stretches", counted)
+        for x, want in ((app_spec.a, []), (app_spec.b, list(app_spec.pieces))):
             calls.clear()
             solution_at(app_spec, 3.0, [x])
-            assert len(calls) == want
+            assert calls == want
 
     def test_solution_at_preserves_order_and_rejects_outside(self, app_spec):
         xs = [2.0, -1.0, 0.5]
@@ -281,7 +337,7 @@ class TestMagnus:
 
     @staticmethod
     def _error(spec, lam):
-        term, _ = propagate(spec, lam)
+        term = terminal(spec, lam)
         y_ref, yp_ref = ivp_states(spec, lam)
         scale = max(1.0, abs(y_ref), abs(yp_ref))
         return max(abs(term.y - y_ref), abs(term.yp - yp_ref)) / scale
@@ -315,11 +371,11 @@ class TestMagnus:
         spec = one_piece(Piece(0.0, 1.0, 1.0, (
             (0.0, 0.0), (0.5, 0.5 * slope), (1.0, 0.0))))
         lams = (17.0, 300.0, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6, -1e3, -2e4)
-        got = [propagate(spec, lam)[0] for lam in lams]
+        got = [terminal(spec, lam) for lam in lams]
         monkeypatch.setattr(propagator, "_MAGNUS_STEPS_PER_UNIT", 4096)
         monkeypatch.setattr(propagator, "_MAGNUS_MIN_STEPS_PER_UNIT", 4096)
         for lam, term in zip(lams, got):
-            ref, _ = propagate(spec, lam)
+            ref = terminal(spec, lam)
             scale = max(1.0, abs(ref.y), abs(ref.yp))
             err = max(abs(term.y - ref.y), abs(term.yp - ref.yp)) / scale
             assert err <= 2e-13 * slope, lam
@@ -327,17 +383,14 @@ class TestMagnus:
     @given(st.floats(min_value=-500.0, max_value=1e4))
     def test_unit_determinant(self, lam):
         piece = Piece(0.0, 1.0, -1.3, ((0.0, 4.0), (0.35, -9.0), (1.0, 25.0)))
-        _, m = propagate(one_piece(piece), lam)
-        assert rel_det_defect(m) <= 1e-12
+        assert wronskian_defect(one_piece(piece), lam, 1.0) <= 1e-12
 
     def test_flat_segment_is_one_exact_step(self, monkeypatch):
         # a single step must match the closed form even with a step count
         # far too small for a sloped segment
         monkeypatch.setattr(propagator, "_MAGNUS_STEPS_PER_UNIT", 1)
+        flat = Piece(0.0, 0.8, 1.7, ((0.0, -2.0), (0.8, -2.0)))
         for lam in (-40.0, 3.0, 900.0):
-            _, mc = propagate(one_piece(Piece(0.0, 0.8, 1.7, -2.0)), lam)
-            _, mt = propagate(one_piece(
-                Piece(0.0, 0.8, 1.7, ((0.0, -2.0), (0.8, -2.0)))), lam)
-            for attr in ("m11", "m12", "m21", "m22"):
-                assert getattr(mt, attr) == pytest.approx(
-                    getattr(mc, attr), rel=1e-12, abs=1e-12)
+            (const,) = stretches(Piece(0.0, 0.8, 1.7, -2.0), lam, 0.0, 0.8)
+            (step,) = stretches(flat, lam, 0.0, 0.8)
+            assert step[:4] == pytest.approx(const[:4], rel=1e-12, abs=1e-12)

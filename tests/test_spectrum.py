@@ -27,7 +27,6 @@ from slindef import (
     interior_zeros,
     normalize_domain,
     one_turning_point,
-    propagate,
     records_to_csv,
     scan_to_csv,
     scan_to_json,
@@ -925,8 +924,8 @@ class TestSerialization:
 
 class TestLambdaRange:
     ENTRY_POINTS = (
-        propagate, characteristic, characteristic_scaled, interior_zeros,
-        count_zeros, weighted_norm,
+        characteristic, characteristic_scaled, interior_zeros, count_zeros,
+        weighted_norm,
         lambda spec, lam: weighted_partial(spec, lam, 0.5),
         lambda spec, lam: solution_at(spec, lam, [0.5]),
     )
@@ -948,7 +947,7 @@ class TestLambdaRange:
                     out = fn(spec, lam)
                 except NumericalFailure:
                     continue
-                # results of every type (states, matrices, floats, lists)
+                # results of every type (states, floats, lists)
                 # print their floats through repr
                 assert "nan" not in repr(out) and "inf" not in repr(out)
 
