@@ -8,12 +8,11 @@ neutral type.  The two window thresholds reported here are
 
 * ``lambda_plus``: the largest scanned eigenvalue of nonpositive type (all
   eigenvalues above it in the window have positive type), and
-* ``lambda_minus``: the smallest scanned eigenvalue of nonnegative type,
+* ``lambda_minus``: the smallest scanned eigenvalue of nonnegative type.
 
-with fallbacks to the extreme scanned eigenvalue when every norm has the
-same sign.  Both are reported only when the window provides tail evidence
-(at least two eigenvalues of the expected type beyond the threshold);
-otherwise the entry is ``None``.
+Both are reported only when the window provides tail evidence (at least two
+eigenvalues of the expected type beyond the threshold); otherwise the entry
+is ``None``.
 """
 
 from __future__ import annotations
@@ -63,45 +62,22 @@ def richardson_numbers(spec: ProblemSpec, window: tuple[float, float],
             f"no eigenvalues found in window {window!r}; widen the window")
     lams = [r.re_lambda for r in scan.records]
     norms = [r.weighted_norm for r in scan.records]
-
-    nonpos = [l for l, n in zip(lams, norms) if n is not None and n <= 0.0]
-    nonneg = [l for l, n in zip(lams, norms) if n is not None and n >= 0.0]
-
-    # The threshold is only reported when the window actually witnesses it:
-    # a non-positive-norm eigenvalue with at least two positive-norm
-    # eigenvalues above it (mirrored for lambda_minus).  A window whose norms
-    # are all of one sign brackets no threshold.
-    lambda_plus: float | None = None
-    if nonpos:
-        cand_plus = max(nonpos)
-        above = [(l, n) for l, n in zip(lams, norms) if l > cand_plus]
-        if len(above) >= 2 and all(n is not None and n > 0.0 for _, n in above):
-            lambda_plus = cand_plus
-
-    lambda_minus: float | None = None
-    if nonneg:
-        cand_minus = min(nonneg)
-        below = [(l, n) for l, n in zip(lams, norms) if l < cand_minus]
-        if len(below) >= 2 and all(n is not None and n < 0.0 for _, n in below):
-            lambda_minus = cand_minus
-
-    pos_above: float | None = None
-    for i in range(len(lams)):
-        if all(n is not None and n > 0.0 for n in norms[i:]):
-            pos_above = lams[i]
-            break
-    neg_below: float | None = None
-    for i in range(len(lams) - 1, -1, -1):
-        if all(n is not None and n < 0.0 for n in norms[:i + 1]):
-            neg_below = lams[i]
-            break
+    n = len(lams)
+    # The records are sorted by lambda and every norm is a float, so the last
+    # non-positive norm (index i) and the first non-negative one (index j)
+    # decide everything.  A threshold is only reported when the window
+    # witnesses it: two records beyond it, whose norms then have the
+    # expected sign.  A window whose norms are all of one sign brackets none.
+    i = max((k for k in range(n) if norms[k] <= 0.0), default=-1)
+    j = min((k for k in range(n) if norms[k] >= 0.0), default=n)
     tail = {
         "lambda_min_checked": lams[0],
         "lambda_max_checked": lams[-1],
-        "all_positive_norm_from": pos_above,
-        "all_negative_norm_upto": neg_below,
+        "all_positive_norm_from": lams[i + 1] if i + 1 < n else None,
+        "all_negative_norm_upto": lams[j - 1] if j > 0 else None,
     }
-    return RichardsonReport(lambda_plus=lambda_plus, lambda_minus=lambda_minus,
+    return RichardsonReport(lambda_plus=lams[i] if 0 <= i < n - 2 else None,
+                            lambda_minus=lams[j] if 2 <= j < n else None,
                             n_r_empirical=scan.n_r_empirical,
                             n_h_empirical=scan.n_h_empirical,
                             scan=scan, tail_evidence=tail)

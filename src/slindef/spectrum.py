@@ -49,6 +49,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _EPS = 2.220446049250313e-16
+# Newton's point is a root only when |D| <= _ROOT_RESIDUAL * scale
+_ROOT_RESIDUAL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +370,7 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
 
     def emit(x: float) -> None:
         polished, residual, scale = _newton_polish(spec, x)
-        if residual > 1e-7 * scale:
+        if residual > _ROOT_RESIDUAL * scale:
             return  # a |D| minimum or count jump that is not actually a root
         if lo - 1e-9 * max(1.0, abs(lo)) <= polished <= hi + 1e-9 * max(1.0, abs(hi)):
             roots.append(polished)
@@ -461,45 +463,26 @@ def _merge_roots(roots: Sequence[complex | float], tol: float) -> list:
 def _empirical_indices(counts: Sequence[int]) -> tuple[int | None, int | None]:
     """Infer the oscillation-count thresholds from a scan's count multiset.
 
-    The target pattern is: each count below some ``n`` appears exactly once,
-    each count from ``n`` up appears at least twice (twice exactly above a
-    possibly larger threshold ``m``).  Counts at the top of the observed
-    range with multiplicity < 2 are treated as window-truncated and ignored.
-    Returns ``(n, m)`` or ``None`` entries when the evidence is insufficient.
+    Counts above the highest doubled count ``top`` are taken as truncated
+    by the window.  The pattern is: every count from the lowest to ``top``
+    is present, once below ``n_r`` and at least twice from ``n_r`` up, and
+    ``n_r`` is 0 or has a singleton below it (else the window may have
+    missed the lower counts); ``n_h`` starts the top run of counts seen
+    exactly twice.  Returns ``(n_r, n_h)``, ``None`` where the evidence
+    does not fit.
     """
-    if not counts:
-        return None, None
     mult = Counter(counts)
-    c_min, c_max = min(mult), max(mult)
-    c_trust = c_max
-    while c_trust >= c_min and mult.get(c_trust, 0) < 2:
-        c_trust -= 1
-    if c_trust < c_min:
+    doubled = [c for c in mult if mult[c] >= 2]
+    if not doubled:
         return None, None
-    first_double: int | None = None
-    for m in range(c_min, c_trust + 1):
-        if mult.get(m, 0) == 0:
-            return None, None  # gap in the observed counts
-        if mult[m] >= 2:
-            first_double = m
-            break
-        # multiplicity 1 below the doubled range is the expected pattern
-    if first_double is None:
+    low, n_r, top = min(mult), min(doubled), max(doubled)
+    if (len(doubled) != top - n_r + 1 or 0 < low == n_r
+            or sum(c <= top for c in mult) != top - low + 1):
         return None, None
-    for m in range(first_double, c_trust + 1):
-        if mult.get(m, 0) < 2:
-            return None, None  # singleton inside the doubled range
-    if first_double == c_min and c_min > 0:
-        # No singleton evidence below and zero is not the floor: the window
-        # may simply have missed the lower counts.
-        return None, None
-    n_r = first_double
-    n_h: int | None = None
-    for m in range(n_r, c_trust + 1):
-        if all(mult.get(mm, 0) == 2 for mm in range(m, c_trust + 1)):
-            n_h = m
-            break
-    return n_r, n_h
+    n_h = top + 1
+    while n_h > n_r and mult[n_h - 1] == 2:
+        n_h -= 1
+    return n_r, n_h if n_h <= top else None
 
 
 def _thread_count(n_cells: int) -> int:
@@ -568,8 +551,7 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
                 f"|D| is at the numerical floor at the window edge {edge!r}; "
                 f"an eigenvalue may sit on the boundary")
 
-    n_r, n_h = _empirical_indices([rec.zeros_in_ab for rec in records
-                                   if rec.zeros_in_ab is not None])
+    n_r, n_h = _empirical_indices([rec.zeros_in_ab for rec in records])
     return ScanResult(window=(lo, hi), tol=tol, records=tuple(records),
                       n_r_empirical=n_r, n_h_empirical=n_h,
                       warnings=tuple(warnings))
@@ -786,14 +768,19 @@ def find_complex_eigenvalues(spec: ProblemSpec,
         if w == 1:
             start = _bracket_root(dval, r.re_lo, r.re_hi, tol) if symmetric \
                 else cen
-            z = _newton_polish(spec, start)[0]
-            if r.contains(z, slack=1e-12 * max(1.0, abs(z))):
+            z, res, scale = _newton_polish(spec, start)
+            if (res <= _ROOT_RESIDUAL * scale
+                    and r.contains(z, slack=1e-12 * max(1.0, abs(z)))):
                 roots.append(z)
                 continue
-            # Newton left the rectangle: fall through to subdivision.
+            # Newton stalled or left the rectangle: fall through to subdivision.
         if r.diam <= max(4.0 * tol, 1e-11) * max(1.0, abs(cen)):
-            z = _newton_polish(spec, cen)[0]
-            roots.append(z if r.contains(z, slack=r.diam) else cen)
+            z, res, scale = _newton_polish(spec, cen)
+            if res > _ROOT_RESIDUAL * scale or not r.contains(z, slack=r.diam):
+                raise NumericalFailure(
+                    f"{r!r} holds {w} root(s) at the diameter floor of "
+                    f"tol={tol!r}, but Newton from its centre finds none")
+            roots.append(z)
             continue
         wide = (r.re_hi - r.re_lo) >= (r.im_hi - r.im_lo)
         fold = symmetric and not wide

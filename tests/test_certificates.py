@@ -4,8 +4,9 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from slindef import (
     HypothesisViolation,
@@ -78,6 +79,12 @@ class TestLemmaUpper:
     def test_witness_recorded(self):
         res = verify_lemma_upper(1.0)
         assert res.witness            # the comparison functions are spelled out
+
+    @pytest.mark.parametrize("lemma, mu", [(verify_lemma_upper, 1.0),
+                                           (verify_lemma_lower, 4.0)])
+    def test_unknown_side_rejected(self, lemma, mu):
+        with pytest.raises(InvalidProblemError, match="side must be"):
+            lemma(mu, side="middle")
 
 
 class TestLemmaLower:
@@ -159,6 +166,38 @@ class TestDisconjugacy:
     def test_rejects_bad_interval(self, app_spec):
         with pytest.raises(InvalidProblemError):
             disconjugate_on(app_spec.coeff, 1.0, (0.5, 0.5))
+
+    # one piece, w = 1, q linear between 4 nodes
+    TABLE = ((0.0, 0.0), (0.4, 6.0), (0.7, -2.0), (1.0, 3.0))
+
+    @staticmethod
+    def _first_zero_after(mu, c, d, table):
+        """The first zero in (c, d] of u'' + (mu + q) u = 0, u(c) = 0,
+        u'(c) = 1, by scipy's RK45 on the interpolated table; None if u
+        stays positive."""
+        xs, qs = zip(*table)
+        sol = solve_ivp(lambda x, y: [y[1], -(mu + np.interp(x, xs, qs)) * y[0]],
+                        (c, d), [0.0, 1.0], rtol=1e-10, atol=1e-12,
+                        max_step=1e-3, dense_output=True)
+        grid = np.linspace(c, d, 4001)[1:]
+        neg = np.nonzero(sol.sol(grid)[0] <= 0.0)[0]
+        return float(grid[neg[0]]) if neg.size else None
+
+    @pytest.mark.parametrize("mu, interval", [(2.0, (0.1, 0.95)),
+                                              (15.0, (0.1, 0.95)),
+                                              (2.0, (0.0, 1.0))])
+    def test_tabulated_piece_matches_an_ivp_sign_check(self, mu, interval):
+        coeff = PiecewiseCoefficient((Piece(0.0, 1.0, 1.0, self.TABLE),))
+        zero = self._first_zero_after(mu, *interval, self.TABLE)
+        got = disconjugate_on(coeff, mu, interval)
+        # each mu keeps clear of the disconjugacy threshold: u either stays
+        # positive or crosses well inside the interval
+        assert (got is None) == (zero is not None)
+        if zero is not None:
+            assert zero < interval[1] - 0.1
+        else:
+            assert got.method == "principal_solution" and got.min_value > 0.0
+        assert disconjugate_on(ProblemSpec(coeff), mu, interval) == got
 
 
 # --------------------------------------------------------------------------
@@ -290,6 +329,16 @@ class TestProp5:
             certify_prop5(PROP5_SPEC, mu=40.0, lambda_star=4.0,
                           c=0.0, d=0.5, e=1.0)
 
+    def test_pocket_at_the_left_end_passes_the_empty_first_condition(self):
+        # c = a: the region (a, c) is empty, so condition one holds with
+        # no value to report
+        spec = ProblemSpec(PiecewiseCoefficient(PROP5_SPEC.pieces[1:]))
+        cert = certify_prop5(spec, mu=4.0, lambda_star=40.0,
+                             c=0.0, d=0.5, e=1.0)
+        first = cert.hypothesis_trail[0]
+        assert first.value is None and first.passed
+        assert cert.valid
+
 
 # --------------------------------------------------------------------------
 # The block-weight application bound
@@ -356,6 +405,7 @@ class TestClassification:
     def test_nondefinite_case(self, one_tp_p13):
         rep = classify_definiteness(one_tp_p13)
         assert rep.kind == "nondefinite"
+        assert rep.summary.startswith("nondefinite (both forms indefinite)")
 
     def test_app_polar(self, app_spec):
         assert classify_definiteness(app_spec).kind == "polar"

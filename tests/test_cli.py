@@ -122,6 +122,8 @@ def test_scan_infinite_tol_exit_2(capsys, one_tp_file):
     ({"table": [1, 2]}, "pairs"),
     ({"const": [1]}, "'const' must be a number"),
     ({"const": "abc"}, "'const' must be a number"),   # not a table of chars
+    (2.5, "q entry must be an object"),
+    ({"table": [[0.0, 1.0], [1.0, "abc"]]}, "q table value is not a number"),
 ])
 def test_scan_malformed_q_exit_2(capsys, tmp_path, q, message):
     bad = tmp_path / "bad_q.json"
@@ -190,6 +192,15 @@ def test_richardson_csv_with_drift(capsys, app_file):
     assert rc == 0
     lines = out.strip().split("\n")
     assert lines[0].endswith(",drift_zero1")
+    assert len(lines) == 8
+
+
+def test_richardson_csv_without_drift(capsys, app_file):
+    rc, out, _ = run(capsys, "richardson", app_file, "--window", "-40", "30",
+                     "--format", "csv")
+    assert rc == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "re_lambda,im_lambda,zeros,weighted_norm,residual"
     assert len(lines) == 8
 
 
@@ -324,6 +335,23 @@ def test_certify_bad_mu_exit_2(capsys, app_file, kind, mu):
 def test_certify_missing_argument_exit_2(capsys):
     rc, _, _ = run(capsys, "certify", "--kind", "one_tp")
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "application"], "needs --m"),
+    (["{app}", "--kind", "prop3", "--mu", "0"], "needs --lam and --mu"),
+    (["{app}", "--kind", "prop3", "--lam", "1"], "needs --lam and --mu"),
+    (["{app}", "--kind", "prop4", "--mu", "2", "--lambda-star", "10.5",
+      "--c", "0", "--d", "0.7"], "needs --e"),
+    (["{app}", "--kind", "prop5", "--mu", "2", "--c", "0", "--d", "0.7",
+      "--e", "1.7"], "needs --lambda-star"),
+])
+def test_certify_missing_flag_exit_2(capsys, app_file, argv, message):
+    rc, out, err = run(capsys, "certify",
+                       *(app_file if a == "{app}" else a for a in argv))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
 
 
 def test_certify_prop3_needs_problem_exit_2(capsys):

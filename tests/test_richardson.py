@@ -1,9 +1,10 @@
 """Weighted norms, type thresholds, and the zero-drift law."""
 
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slindef import (
@@ -21,7 +22,9 @@ from slindef import (
     weighted_norm,
     zero_drift,
 )
+from slindef import richardson
 from slindef.richardson import report_to_csv, report_to_dict, weighted_partial
+from slindef.spectrum import EigenRecord, ScanResult, _empirical_indices
 
 from oracles import simpson_weighted_norm
 
@@ -97,6 +100,12 @@ class TestWeightedNorm:
         with pytest.raises(InvalidProblemError):
             weighted_norm(classical_spec, 1.0 + 1.0j)
 
+    @pytest.mark.parametrize("x_hi", [-0.1, 1.1])
+    def test_partial_rejects_x_hi_outside_the_interval(self, classical_spec,
+                                                       x_hi):
+        with pytest.raises(InvalidProblemError, match="outside the interval"):
+            weighted_partial(classical_spec, 5.0, x_hi)
+
 
 # --------------------------------------------------------------------------
 # Richardson numbers
@@ -154,6 +163,76 @@ class TestRichardsonNumbers:
             17.118939070171816, rel=1e-9)
         assert rep.tail_evidence["all_negative_norm_upto"] == pytest.approx(
             -17.118939070171837, rel=1e-9)
+
+
+def _thresholds_by_definition(lams, norms):
+    """lambda_plus, lambda_minus and the tail evidence read off their
+    definitions, record by record."""
+    pairs = list(zip(lams, norms))
+    nonpos = [l for l, n in pairs if n <= 0.0]
+    plus = max(nonpos) if nonpos else None
+    above = [n for l, n in pairs if plus is not None and l > plus]
+    if not (len(above) >= 2 and all(n > 0.0 for n in above)):
+        plus = None
+    nonneg = [l for l, n in pairs if n >= 0.0]
+    minus = min(nonneg) if nonneg else None
+    below = [n for l, n in pairs if minus is not None and l < minus]
+    if not (len(below) >= 2 and all(n < 0.0 for n in below)):
+        minus = None
+    pos_from = [l for l in lams if all(n > 0.0 for m, n in pairs if m >= l)]
+    neg_upto = [l for l in lams if all(n < 0.0 for m, n in pairs if m <= l)]
+    return plus, minus, {
+        "lambda_min_checked": min(lams),
+        "lambda_max_checked": max(lams),
+        "all_positive_norm_from": min(pos_from, default=None),
+        "all_negative_norm_upto": max(neg_upto, default=None),
+    }
+
+
+def _indices_by_definition(counts):
+    """(n_r, n_h) by trying every n_r: counts above the top doubled count
+    are ignored, every count from the lowest up to it is present, once
+    below n_r and at least twice from n_r up, and n_r is 0 or above the
+    lowest count; n_h starts the top run of counts seen exactly twice."""
+    mult = Counter(counts)
+    doubled = [c for c in mult if mult[c] >= 2]
+    if not doubled:
+        return None, None
+    low, top = min(counts), max(doubled)
+    fits = [n for n in range(low, top + 1)
+            if all(mult[c] == 1 for c in range(low, n))
+            and all(mult[c] >= 2 for c in range(n, top + 1))]
+    if not fits or 0 < fits[0] == low:
+        return None, None
+    n_r = fits[0]
+    n_h = next((m for m in range(n_r, top + 1)
+                if all(mult[c] == 2 for c in range(m, top + 1))), None)
+    return n_r, n_h
+
+
+class TestThresholdsProperty:
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(
+        st.floats(-1e3, 1e3),
+        st.one_of(st.sampled_from((-1.0, -0.0, 0.0, 1.0)),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        st.integers(0, 5)), min_size=1, max_size=12,
+        unique_by=lambda t: t[0]))
+    def test_matches_the_definitions(self, rows):
+        rows.sort()
+        lams, norms, counts = (list(col) for col in zip(*rows))
+        records = tuple(EigenRecord(l, 0.0, c, n, 0.0) for l, n, c in rows)
+        scan = ScanResult((lams[0], lams[-1]), 1e-9, records,
+                          *_empirical_indices(counts))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(richardson, "find_real_eigenvalues",
+                       lambda spec, window, tol: scan)
+            rep = richardson_numbers(None, (lams[0], lams[-1]))
+        plus, minus, tail = _thresholds_by_definition(lams, norms)
+        assert (rep.lambda_plus, rep.lambda_minus) == (plus, minus)
+        assert rep.tail_evidence == tail
+        assert (rep.n_r_empirical, rep.n_h_empirical) == \
+            _indices_by_definition(counts)
 
 
 # --------------------------------------------------------------------------

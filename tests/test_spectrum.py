@@ -862,6 +862,23 @@ class TestComplexScan:
             assert gr == pytest.approx(wr, abs=1e-4)
             assert gi == pytest.approx(wi, abs=1e-4)
 
+    @pytest.mark.parametrize("tol", [1e-3, 0.05])
+    def test_coarse_tol_keeps_the_quadruple(self, one_tp_p13, tol):
+        out = find_complex_eigenvalues(one_tp_p13, ((-20.0, 20.0),
+                                                    (-20.0, 20.0)), tol)
+        re0, im0 = ONE_TP_P13_PAIR
+        got = sorted((r.re_lambda, r.im_lambda) for r in out)
+        assert [v for pair in got for v in pair] == pytest.approx(
+            [-re0, -im0, -re0, im0, re0, -im0, re0, im0], rel=1e-9)
+
+    def test_stalled_newton_at_the_diameter_floor_raises(self, one_tp_p13):
+        # at tol = 2 the half boxes reach the floor with their two roots
+        # unresolved; Newton from a centre stalls on the axis at -9.2955,
+        # where |D| / scale = 7.8e-2, which must not be reported as a root
+        with pytest.raises(NumericalFailure, match="diameter floor"):
+            find_complex_eigenvalues(one_tp_p13, ((-20.0, 20.0),
+                                                  (-20.0, 20.0)), 2.0)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_random_problems_count_every_box(self, seed):
         # 2-4 constant pieces of 0.2-1 each; the bottom edge passes 1e-3
