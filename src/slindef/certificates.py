@@ -313,7 +313,7 @@ def disconjugate_on(obj: ProblemSpec | PiecewiseCoefficient, mu: float,
 
     pieces = _clip_pieces(coeff, start, d)
     sub = ProblemSpec(PiecewiseCoefficient(tuple(pieces)))
-    if interior_zeros(sub, mu):
+    if count_zeros(sub, mu):
         return None
     # the solution on 32 equal steps of each piece; the grid ends at x = d,
     # so a positive minimum covers the end state

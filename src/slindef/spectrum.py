@@ -51,6 +51,7 @@ log = logging.getLogger(__name__)
 _EPS = 2.220446049250313e-16
 # Newton's point is a root only when |D| <= _ROOT_RESIDUAL * scale
 _ROOT_RESIDUAL = 1e-7
+_PI2 = math.pi * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -94,21 +95,29 @@ def characteristic(spec: ProblemSpec, lam: complex | float) -> complex | float:
 # ---------------------------------------------------------------------------
 
 def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
-                   v: float, y1: float, x0: float, snap: float) -> None:
+                   v: float, y1: float, x0: float, snap: float,
+                   end: float | None = None) -> int:
     """Append the zeros of ``y(t) = C(k2, t) y0 + S(k2, t) v`` on
-    ``(0, length]``, whose end value is ``y1``, at ``x0 + t``.
+    ``(0, length]``, whose end value is ``y1``, at ``x0 + t``, and return
+    how many more it counted without appending them.
 
-    A zero within ``snap`` of ``t = 0`` belongs to the stretch before.
+    A zero within ``snap`` of ``t = 0`` belongs to the stretch before.  Given
+    ``end``, an oscillating stretch appends only its first zero and its last
+    one up to ``t = end`` and counts those between; otherwise it returns 0.
     """
     if k2 > 0.0 and math.sqrt(k2) * length > 1e-2:
         # Oscillatory: y(t) = A sin(k t + phi).
         k = math.sqrt(k2)
         phi = math.atan2(y0, v / k)
         m_lo = math.floor((phi + k * snap) / math.pi) + 1
-        m_hi = math.floor((phi + k * length) / math.pi)
-        for m in range(m_lo, m_hi + 1):
+        t_hi = length if end is None or end > length else end
+        ms = range(m_lo, math.floor((phi + k * t_hi) / math.pi) + 1)
+        inner = 0
+        if end is not None and len(ms) > 2:
+            ms, inner = (ms[0], ms[-1]), len(ms) - 2
+        for m in ms:
             zeros.append(x0 + (m * math.pi - phi) / k)
-        return
+        return inner
     # At most one zero on the stretch, where C(k2, t) y0 + S(k2, t) v = 0
     # in closed form.
     if y0 == 0.0:
@@ -129,67 +138,93 @@ def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
             k = math.sqrt(k2)
             t_star = math.atan(k * ratio) / k
         zeros.append(x0 + min(max(t_star, ts), length))
+    return 0
+
+
+def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None) -> int:
+    """The number of zeros of the left solution strictly inside ``(a, b)``
+    at real ``lam``, each appended to ``out`` unless that is ``None``.
+
+    The walk is a fold over :func:`stretches`, and on each stretch
+    ``_stretch_zeros`` places the zeros in closed form: by the phase where
+    the stretch oscillates; elsewhere there is at most one, which the end
+    signs detect and an ``atanh``, linear or ``atan`` formula places.
+    Without ``out``, an oscillating stretch other than a sloped step (below)
+    places only its first zero and its last one before the end band, and
+    counts those between, which lie ``pi / k`` apart and inside the cuts
+    below: the count's memory does not grow with ``lam``.
+
+    A stretch whose phase is below pi holds at most one zero, so none when
+    ``y`` keeps its sign across it, and the walk skips it.  Inside a sloped
+    sixth-order Magnus step the closed form, the step's ``exp(t Omega)``,
+    is only about third order, so each zero placed there takes one Newton
+    step on the solution :func:`_carry` steps to it, within the step.
+
+    Each stretch places its zeros in order, after those of the stretches
+    before (where two stretches meet, rounding can swap two placements of
+    one zero, and the dedup keeps the first), so one pass keeps a zero
+    unless it lies within ``snap`` of ``a``, within an end band of ``b``, or
+    within ``snap`` of the zero kept last.
+    For Dirichlet conditions at ``b`` the band is ``1e-6 * (b - a)``: at an
+    eigenvalue the exact eigenfunction's boundary zero sits at ``b``, but
+    the computed solution displaces it by roughly ``|y(b)| / |y'(b)|``,
+    which can be many orders of magnitude above resolution when the
+    solution decays through the last piece.  For other boundary conditions
+    the band is the dedup resolution ``snap = 1e-12 * (b - a)``, which also
+    drops a zero the last stretch puts at ``b``.
+    """
+    lam = _require_real(lam, "interior zero counting")
+    pieces = spec.coeff.pieces
+    a, b = pieces[0].x0, pieces[-1].x1
+    snap = 1e-12 * (b - a)
+    lo, hi = a + snap, b - (1e-6 * (b - a) if spec.beta == 0.0 else snap)
+    count, last = 0, -math.inf
+    placed: list[float] = []
+    y0, yp0 = math.sin(spec.alpha), math.cos(spec.alpha)
+    for piece in pieces:
+        for e11, e12, e21, e22, _, _, dd, _, d, z, x, length in stretches(
+                piece, lam, piece.x0, piece.x1):
+            y1, yp1 = e11 * y0 + e12 * yp0, e21 * y0 + e22 * yp0
+            if y0 * y1 > 0.0 and z * length * length < _PI2:
+                y0, yp0 = y1, yp1
+                continue
+            if not dd:
+                count += _stretch_zeros(
+                    placed, z, length, y0, d * y0 + yp0, y1, x, snap,
+                    None if out is not None else hi - x)
+            else:
+                _stretch_zeros(placed, z, length, y0, d * y0 + yp0, y1, x, snap)
+                for i, t in enumerate(placed):
+                    y, yp = _carry(piece, lam, y0, yp0, x, t)
+                    if yp:
+                        placed[i] = min(max(t - y / yp, x), x + length)
+            for t in placed:
+                if not (t <= lo or t >= hi or t - last <= snap):
+                    count += 1
+                    last = t
+                    if out is not None:
+                        out.append(t)
+            placed.clear()
+            y0, yp0 = y1, yp1
+    if not (abs(y0) + abs(yp0) < math.inf):
+        raise overflow_failure(lam)
+    return count
 
 
 @lambda_entry
 def interior_zeros(spec: ProblemSpec, lam: float) -> list[float]:
-    """Locations of zeros of the left solution strictly inside ``(a, b)``.
-
-    ``lam`` must be real.  The walk is a fold over :func:`stretches`, and
-    on each stretch ``_stretch_zeros`` places the zeros in closed form: by
-    the phase where the stretch oscillates; elsewhere there is at most one,
-    which the end signs detect and an ``atanh``, linear or ``atan`` formula
-    places.  Inside a sloped sixth-order Magnus step that closed form, the
-    step's ``exp(t Omega)``, is only about third order, so each zero placed
-    there takes one Newton step on the solution :func:`_carry` steps to it.
-
-    Zeros within an end band of ``x = b`` are dropped.  For Dirichlet
-    conditions at ``b`` the band is ``1e-6 * (b - a)``: at an eigenvalue the
-    exact eigenfunction's boundary zero sits at ``b``, but the computed
-    solution displaces it by roughly ``|y(b)| / |y'(b)|``, which can be many
-    orders of magnitude above resolution when the solution decays through
-    the last piece.  For other boundary conditions the band is the dedup
-    resolution ``1e-12 * (b - a)``, which also drops a zero the last stretch
-    puts at ``b``.
-    """
-    lam = _require_real(lam, "interior zero counting")
-    a, b = spec.a, spec.b
-    snap = 1e-12 * (b - a)
-    end_band = 1e-6 * (b - a) if spec.beta == 0.0 else snap
-    zeros: list[float] = []
-    y0, yp0 = math.sin(spec.alpha), math.cos(spec.alpha)
-    for piece in spec.coeff.pieces:
-        for e11, e12, e21, e22, _, _, dd, _, d, z, x, length in stretches(
-                piece, lam, piece.x0, piece.x1):
-            y1, yp1 = e11 * y0 + e12 * yp0, e21 * y0 + e22 * yp0
-            if dd:
-                # a sloped sixth-order Magnus step; constant stretches skip
-                # the polish bookkeeping in the else branch
-                placed = len(zeros)
-                _stretch_zeros(zeros, z, length, y0, d * y0 + yp0, y1, x, snap)
-                for i in range(placed, len(zeros)):
-                    y, yp = _carry(piece, lam, y0, yp0, x, zeros[i])
-                    if yp:
-                        zeros[i] = min(max(zeros[i] - y / yp, x), x + length)
-            else:
-                _stretch_zeros(zeros, z, length, y0, d * y0 + yp0, y1, x, snap)
-            y0, yp0 = y1, yp1
-    if not (abs(y0) + abs(yp0) < math.inf):
-        raise overflow_failure(lam)
-    zeros.sort()
+    """Locations of zeros of the left solution strictly inside ``(a, b)``,
+    in increasing order; ``lam`` must be real.  See :func:`_zero_walk`."""
     out: list[float] = []
-    for z in zeros:
-        if z <= a + snap or z >= b - end_band:
-            continue
-        if out and z - out[-1] <= snap:
-            continue
-        out.append(z)
+    _zero_walk(spec, lam, out)
     return out
 
 
+@lambda_entry
 def count_zeros(spec: ProblemSpec, lam: float) -> int:
-    """Number of interior zeros of the left solution at real ``lam``."""
-    return len(interior_zeros(spec, lam))
+    """Number of interior zeros of the left solution at real ``lam``,
+    ``len(interior_zeros(spec, lam))`` without the list."""
+    return _zero_walk(spec, lam, None)
 
 
 # ---------------------------------------------------------------------------

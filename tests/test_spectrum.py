@@ -1,11 +1,13 @@
 """Characteristic function, zero counting, real/complex scans, serialization."""
 
+import dataclasses
 import functools
 import json
 import math
 import os
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -316,6 +318,28 @@ class TestZeroCounting:
             Piece(0.0, 1.0, 1.0, ((0.0, 0.0), (0.5, 30.0), (1.0, 0.0))),)))
         for lam in (5.0, 40.0, 90.0):
             assert count_zeros(spec, lam) == dense_zero_count(spec, lam)
+
+    # the count walk places only the first and last zero of an oscillating
+    # constant stretch and skips sloped Magnus steps that hold none; the list
+    # walk places every zero
+    @given(mixed_problems(), st.booleans(),
+           st.floats(min_value=-1e3, max_value=1e3))
+    # alpha = 0: the walk starts at y0 = 0, on a table and on a constant piece
+    @example(ProblemSpec(PiecewiseCoefficient((
+        Piece(0.0, 1.0, 1.0, ((0.0, 0.0), (0.5, 20.0), (1.0, 0.0))),
+        Piece(1.0, 2.0, -1.0, 5.0)))), True, 300.0)
+    @example(ProblemSpec(PiecewiseCoefficient((
+        Piece(0.0, 0.6, 1.0, 4.0),
+        Piece(0.6, 1.5, -2.0, ((0.6, -5.0), (1.5, 12.0))))), 0.0, 0.7),
+        False, 400.0)
+    # a zero at 1 - 5e-7, inside the Dirichlet end band 1e-6 at b
+    @example(ProblemSpec(PiecewiseCoefficient((Piece(0.0, 1.0, 1.0, 0.0),)),
+                         math.pi - math.atan(math.tan(10.0 * (1.0 - 5e-7))
+                                             / 10.0)), True, 100.0)
+    def test_count_is_length_of_zero_list(self, spec, dirichlet_b, lam):
+        if dirichlet_b:
+            spec = dataclasses.replace(spec, beta=0.0)
+        assert count_zeros(spec, lam) == len(interior_zeros(spec, lam))
 
     # lambda*w + q on a half-unit piece: decaying/growing, linear, or so
     # slowly oscillating that sqrt(k2) * length <= 1e-2
@@ -1012,6 +1036,21 @@ class TestLambdaRange:
             big ** 1.5 + small ** 1.5)
         assert math.floor(phase / math.pi) == 318_309
         assert count_zeros(spec, lam) == 318_309
+
+    @pytest.mark.parametrize("lam, want", [
+        (1e12, 318_309), (1e13, 1_006_583), (4e13, 2_013_166)])
+    def test_constant_count_at_high_lambda(self, classical_spec, lam, want):
+        # the zeros are m pi / sqrt(lambda); the Dirichlet end band drops
+        # those past 1 - 1e-6: none at 1e12, the one at 1 - 2.4e-7 at 1e13,
+        # two at 4e13.  The count keeps no list of them.
+        assert want == math.floor(math.sqrt(lam) * (1.0 - 1e-6) / math.pi)
+        tracemalloc.start()
+        try:
+            assert count_zeros(classical_spec, lam) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("lam", [1e3, 1e8, 1e12])
     def test_flat_table_zeros_equal_constant_piece(self, lam):
