@@ -20,10 +20,10 @@ from typing import Sequence
 from .coefficients import (Piece, PiecewiseCoefficient, ProblemSpec,
                            application_problem)
 from .errors import (HypothesisViolation, InvalidProblemError,
-                     NumericalFailure)
+                     NumericalFailure, lambda_entry)
 from .propagator import _carry, weighted_norm
-from .spectrum import (_newton_polish, _refine_bracket, characteristic_scaled,
-                       count_zeros, interior_zeros)
+from .spectrum import (_newton_polish, _refine_bracket, _zero_walk,
+                       characteristic_scaled, count_zeros, interior_zeros)
 
 __all__ = [
     "TrailEntry",
@@ -315,8 +315,9 @@ def disconjugate_on(obj: ProblemSpec | PiecewiseCoefficient, mu: float,
     sub = ProblemSpec(PiecewiseCoefficient(tuple(pieces)))
     if count_zeros(sub, mu):
         return None
-    # the solution on 32 equal steps of each piece; the grid ends at x = d,
-    # so a positive minimum covers the end state
+    # the solution on 32 equal steps of each piece past c (at c it is only
+    # the launch offset); the grid ends at x = d, so a positive minimum
+    # covers the end state
     min_u = math.inf
     u, up = 0.0, 1.0
     for piece in sub.pieces:
@@ -325,7 +326,7 @@ def disconjugate_on(obj: ProblemSpec | PiecewiseCoefficient, mu: float,
             xj = piece.x0 + piece.length * (j / 32) if j < 32 else piece.x1
             u, up = _carry(piece, mu, u, up, x, xj)
             x = xj
-            if x >= c and u < min_u:
+            if x > c and u < min_u:
                 min_u = u
     if not (min_u > 0.0 and math.isfinite(min_u)):
         return None
@@ -611,21 +612,26 @@ def _lowest_unit_weight_eigenvalue(specL: ProblemSpec) -> float:
     (``D(hi) < 0``, at most one zero), then refine and polish as the scan
     does."""
 
-    @functools.cache
-    def dval(lam: float) -> float:
-        d, scale = characteristic_scaled(specL, lam)
-        return d / scale
+    zero_walk = lambda_entry(_zero_walk)
 
     @functools.cache
+    def walk(lam: float) -> tuple[float, int]:
+        # D / scale and the zero count, from one walk
+        count, d, scale = zero_walk(specL, lam, None)
+        return d / scale, count
+
+    def dval(lam: float) -> float:
+        return walk(lam)[0]
+
     def below(lam: float) -> bool:
-        return dval(lam) > 0.0 and count_zeros(specL, lam) == 0
+        return dval(lam) > 0.0 and walk(lam)[1] == 0
 
     lo, hi = -1.0, 1.0
     while not below(lo):
         lo, hi = 3.0 * lo, lo
     while below(hi):
         lo, hi = hi, 3.0 * hi
-    while not (dval(hi) < 0.0 and count_zeros(specL, hi) <= 1):
+    while not (dval(hi) < 0.0 and walk(hi)[1] <= 1):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break  # lo and hi are adjacent doubles

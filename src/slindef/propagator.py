@@ -24,9 +24,10 @@ constant piece is one stretch, a tabulated piece its Magnus steps, each a
 flow ``C(z, t) I + S(z, t) Omega``.  Every walk of the interval folds
 the state ``(y, y')`` over it by the same update, so ``D``, its derivative,
 the zero count, the norm, the zero drift and :func:`solution_at` all read
-one computed solution bit for bit: :func:`_carry` crosses a piece for
-``characteristic_scaled`` and the zero walk; only ``characteristic_scaled``,
-the hottest loop, crosses constant pieces with the same arithmetic inline.
+one computed solution bit for bit: :func:`_carry` crosses a tabulated piece
+for ``characteristic_scaled`` and polishes the zero walk's zeros, and both
+walks, the hottest loops, cross constant pieces with the same arithmetic
+inline.
 Every stretch carries the lambda-derivative of ``(y, y')`` in closed form,
 and one fold, :func:`_lambda_fold`, serves every use of it: the states of
 :func:`solution_at`, the weighted norm by the Lagrange identity, Newton's

@@ -141,9 +141,12 @@ def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
     return 0
 
 
-def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None) -> int:
-    """The number of zeros of the left solution strictly inside ``(a, b)``
-    at real ``lam``, each appended to ``out`` unless that is ``None``.
+def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None
+               ) -> tuple[int, float, float]:
+    """``(count, D, scale)`` at real ``lam``: the number of zeros of the
+    left solution strictly inside ``(a, b)``, each appended to ``out``
+    unless that is ``None``, and :func:`characteristic_scaled`'s pair, bit
+    for bit (a constant piece is crossed inline with its arithmetic).
 
     The walk is a fold over :func:`stretches`, and on each stretch
     ``_stretch_zeros`` places the zeros in closed form: by the phase where
@@ -181,7 +184,30 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None) -> int:
     count, last = 0, -math.inf
     placed: list[float] = []
     y0, yp0 = math.sin(spec.alpha), math.cos(spec.alpha)
+    scale = max(1.0, abs(y0) + abs(yp0))
     for piece in pieces:
+        const = piece.constant
+        if const is not None:
+            # the piece's one stretch, with characteristic_scaled's arithmetic
+            w, q, x, x1 = const
+            z = lam * w + q
+            length = x1 - x
+            c, s = cs_kernels(z, length)
+            y1, yp1 = c * y0 + s * yp0, -z * s * y0 + c * yp0
+            if not (y0 * y1 > 0.0 and z * length * length < _PI2):
+                count += _stretch_zeros(
+                    placed, z, length, y0, yp0, y1, x, snap,
+                    None if out is not None else hi - x)
+                for t in placed:
+                    if not (t <= lo or t >= hi or t - last <= snap):
+                        count += 1
+                        last = t
+                        if out is not None:
+                            out.append(t)
+                placed.clear()
+            y0, yp0 = y1, yp1
+            scale = max(scale, abs(y0) + abs(yp0))
+            continue
         for e11, e12, e21, e22, _, _, dd, _, d, z, x, length in stretches(
                 piece, lam, piece.x0, piece.x1):
             y1, yp1 = e11 * y0 + e12 * yp0, e21 * y0 + e22 * yp0
@@ -206,9 +232,11 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None) -> int:
                         out.append(t)
             placed.clear()
             y0, yp0 = y1, yp1
-    if not (abs(y0) + abs(yp0) < math.inf):
+        scale = max(scale, abs(y0) + abs(yp0))
+    d = y0 * math.cos(spec.beta) + yp0 * math.sin(spec.beta)
+    if not (scale < math.inf and d == d):
         raise overflow_failure(lam)
-    return count
+    return count, d, scale
 
 
 @lambda_entry
@@ -224,7 +252,7 @@ def interior_zeros(spec: ProblemSpec, lam: float) -> list[float]:
 def count_zeros(spec: ProblemSpec, lam: float) -> int:
     """Number of interior zeros of the left solution at real ``lam``,
     ``len(interior_zeros(spec, lam))`` without the list."""
-    return _zero_walk(spec, lam, None)
+    return _zero_walk(spec, lam, None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +409,27 @@ def _detection_grid(spec: ProblemSpec, lo: float, hi: float,
     return grid
 
 
+@lambda_entry
 def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
                 grid: list[float]) -> list[float]:
     """Locate real eigenvalues in ``[lo, hi]`` (may return near-duplicates
     at chunk edges; the caller merges).  ``grid`` is this chunk's slice of
     the one detection lattice all workers share, so the found set is
-    identical for any worker count."""
+    identical for any worker count.  One guard covers the chunk, in the
+    worker, and names ``lo`` on an overflow; the walks inside run bare."""
     d_cache: dict[float, float] = {}
     c_cache: dict[float, int] = {}
 
     def dval(x: float) -> float:
         if x not in d_cache:
-            d, scale = characteristic_scaled(spec, x)
+            d, scale = characteristic_scaled.__wrapped__(spec, x)
             d_cache[x] = d / scale
         return d_cache[x]
 
     def cval(x: float) -> int:
         if x not in c_cache:
-            c_cache[x] = count_zeros(spec, x)
+            c_cache[x], d, scale = _zero_walk(spec, x, None)
+            d_cache[x] = d / scale
         return c_cache[x]
 
     roots: list[float] = []
@@ -436,6 +467,8 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
         scale_x = max(1.0, abs(x0), abs(x1))
         if width <= 0.0:
             continue
+        if depth == 0:
+            cval(x0), cval(x1)  # a lattice node: D and count from one walk
         d0, d1 = dval(x0), dval(x1)
         if d0 == 0.0:
             emit(x0)

@@ -199,6 +199,16 @@ class TestDisconjugacy:
             assert got.method == "principal_solution" and got.min_value > 0.0
         assert disconjugate_on(ProblemSpec(coeff), mu, interval) == got
 
+    def test_witness_margin_is_read_past_the_left_end(self):
+        # u is launched delta = 1e-6 (d - c) left of c with slope 1, so it
+        # reads delta at c itself; the margin is read past c, at the first
+        # grid point 1/32 where u is about 1/32, for c = a as for c > a
+        coeff = PiecewiseCoefficient((Piece(0.0, 1.0, 1.0, self.TABLE),))
+        got = disconjugate_on(coeff, 2.0, (0.0, 1.0))
+        assert got.min_value == pytest.approx(1.0 / 32.0, rel=1e-2)
+        inner = disconjugate_on(coeff, 2.0, (0.1, 0.95))
+        assert inner.min_value == pytest.approx(0.85 / 32.0, rel=1e-2)
+
 
 # --------------------------------------------------------------------------
 # Eigenvalue-anchored certificate (zero-gap disconjugacy)

@@ -341,6 +341,39 @@ class TestZeroCounting:
             spec = dataclasses.replace(spec, beta=0.0)
         assert count_zeros(spec, lam) == len(interior_zeros(spec, lam))
 
+    # the scan reads D, its scale and the count from one zero walk, which
+    # must agree with the D-only walk bit for bit
+    @given(mixed_problems(), st.floats(min_value=-1e3, max_value=1e3))
+    # alpha = 0 and beta != 0, on constant pieces and on a table
+    @example(ProblemSpec(PiecewiseCoefficient((
+        Piece(0.0, 0.6, 1.0, 4.0), Piece(0.6, 1.5, -2.0, -3.0))), 0.0, 0.7),
+        250.0)
+    @example(ProblemSpec(PiecewiseCoefficient((
+        Piece(0.0, 0.6, 1.0, 4.0),
+        Piece(0.6, 1.5, -2.0, ((0.6, -5.0), (1.5, 12.0))))), 0.0, 0.7),
+        -400.0)
+    def test_walk_gives_characteristic_and_count(self, spec, lam):
+        count, d, scale = spectrum._zero_walk(spec, lam, None)
+        assert (d, scale) == characteristic_scaled(spec, lam)
+        assert count == len(interior_zeros(spec, lam))
+
+    # the second piece as a constant and as a flat table, whose zeros the
+    # walk keeps on its two routes
+    @pytest.mark.parametrize("q", [-45.0, ((1.0, -45.0), (2.0, -45.0))])
+    def test_zero_on_a_breakpoint_is_kept_once(self, q):
+        # y = A sin(5 x + phi) on the first piece with phi = 2 pi - 5, so a
+        # zero sits at the breakpoint x = 1 to within rounding: the
+        # oscillating piece places it by its phase at 1.0, the evanescent
+        # piece after it by its end signs one ulp later, and the dedup keeps
+        # the first.  The alpha sits mid-way in a 12-ulp window where both
+        # pieces place it.
+        spec = ProblemSpec(PiecewiseCoefficient((
+            Piece(0.0, 1.0, 1.0, 0.0), Piece(1.0, 2.0, 1.0, q))),
+            0.5945070301538051, 0.9)
+        zeros = interior_zeros(spec, 25.0)
+        assert len(zeros) == count_zeros(spec, 25.0) == 2
+        assert zeros == pytest.approx([1.0 - math.pi / 5.0, 1.0], abs=1e-12)
+
     # lambda*w + q on a half-unit piece: decaying/growing, linear, or so
     # slowly oscillating that sqrt(k2) * length <= 1e-2
     NON_OSCILLATORY_K2 = st.one_of(
@@ -997,6 +1030,18 @@ class TestLambdaRange:
         for fn in self.ENTRY_POINTS:
             with pytest.raises(NumericalFailure):
                 fn(one_tp_m10, 1e8)
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_overflow_inside_a_scan_is_numerical_failure(
+            self, monkeypatch, one_tp_m10, threads):
+        # cosh overflows at every lattice node; the scan's walks run
+        # unguarded under one guard per chunk, in the worker
+        if threads is None:
+            monkeypatch.delenv("SL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SL_THREADS", threads)
+        with pytest.raises(NumericalFailure, match="overflows"):
+            find_real_eigenvalues(one_tp_m10, (6e5, 6.0001e5))
 
     def test_phase_past_double_precision_is_numerical_failure(
             self, classical_spec):
