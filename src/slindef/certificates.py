@@ -14,11 +14,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coefficients import (Piece, PiecewiseCoefficient, ProblemSpec,
-                           application_problem)
+                           _as_finite_float, application_problem)
 from .errors import (HypothesisViolation, InvalidProblemError,
                      NumericalFailure, lambda_entry)
 from .propagator import _carry, weighted_norm
@@ -57,8 +56,7 @@ def _jsonable(value):
     return repr(value)
 
 
-@dataclass(frozen=True)
-class TrailEntry:
+class TrailEntry(NamedTuple):
     """One checked hypothesis: a description, the computed value, and the
     verdict."""
 
@@ -67,8 +65,7 @@ class TrailEntry:
     passed: bool
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """A claimed bound with its full hypothesis trail.
 
     ``direction`` is ``"upper_on_lambda_plus"`` or
@@ -109,8 +106,7 @@ def certificate_to_json(cert: BoundCertificate) -> str:
 # Unit-interval comparison lemmas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LemmaResult:
+class LemmaResult(NamedTuple):
     """Outcome of a unit-interval integral comparison."""
 
     mu: float
@@ -134,7 +130,7 @@ def verify_lemma_upper(mu: float, side: str = "right") -> LemmaResult:
     ``int y^2 < 1/2 * y(outer)^2``.  Evaluates both sides on the canonical
     witness and reports the strict comparison."""
     side = _check_side(side)
-    mu = float(mu)
+    mu = _as_finite_float(mu, "mu")
     if not mu < _QUARTER_PI_SQ:
         raise HypothesisViolation(
             f"upper lemma needs mu < pi^2/4 = {_QUARTER_PI_SQ!r}, got {mu!r}")
@@ -167,7 +163,7 @@ def verify_lemma_lower(mu: float, side: str = "right") -> LemmaResult:
     comparison reverses: ``int y^2 > 1/2 * y(inner)^2``.  At ``sin(2k) = 0``
     the comparison is non-strict."""
     side = _check_side(side)
-    mu = float(mu)
+    mu = _as_finite_float(mu, "mu")
     if not mu > 0.0:
         raise HypothesisViolation(f"lower lemma needs mu > 0, got {mu!r}")
     k = math.sqrt(mu)
@@ -196,7 +192,7 @@ def bound_one_turning_point(q0: float) -> tuple[BoundCertificate, BoundCertifica
     ``|q0| - pi^2/4`` and, by the ``lambda -> -lambda`` symmetry of the
     family, the smallest nonnegative-type eigenvalue is at least its
     negative.  Returns ``(upper, lower)`` certificates."""
-    q0 = float(q0)
+    q0 = _as_finite_float(q0, "q0")
     if not q0 < -_QUARTER_PI_SQ:
         raise HypothesisViolation(
             f"bound needs q0 < -pi^2/4 = {-_QUARTER_PI_SQ!r}, got {q0!r}; "
@@ -220,8 +216,7 @@ def bound_one_turning_point(q0: float) -> tuple[BoundCertificate, BoundCertifica
 # Disconjugacy witnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DisconjugacyWitness:
+class DisconjugacyWitness(NamedTuple):
     """Evidence that ``u'' + (mu w + q) u = 0`` is disconjugate on an
     interval: the principal-type solution stays positive; ``min_value`` is
     its smallest sampled value past the left endpoint."""
@@ -304,7 +299,7 @@ def disconjugate_on(obj: ProblemSpec | PiecewiseCoefficient, mu: float,
     if not (coeff.a <= c < d <= coeff.b):
         raise InvalidProblemError(
             f"interval {interval!r} is not inside [{coeff.a!r}, {coeff.b!r}]")
-    mu = float(mu)
+    mu = _as_finite_float(mu, "mu")
     delta = 1e-6 * (d - c)
     start = c - delta
 
@@ -349,7 +344,8 @@ def certify_prop3(spec: ProblemSpec, lam: float, mus: Sequence[float],
     ``lambda_minus >= lam``; a mix is rejected and equality with ``lam``
     violates the hypotheses.
     """
-    lam = float(lam)
+    lam = _as_finite_float(lam, "lambda")
+    mus = [_as_finite_float(m, "mu") for m in mus]
     if not (0.0 < tol < math.inf):
         raise InvalidProblemError(f"tol must be positive and finite, got {tol!r}")
     d, scale = characteristic_scaled(spec, lam)
@@ -360,7 +356,6 @@ def certify_prop3(spec: ProblemSpec, lam: float, mus: Sequence[float],
     zeros = interior_zeros(spec, lam)
     bounds = [spec.a] + zeros + [spec.b]
     gaps = list(zip(bounds, bounds[1:]))
-    mus = [float(m) for m in mus]
     if len(mus) != len(gaps):
         raise InvalidProblemError(
             f"need one mu per zero gap: {len(gaps)} gaps "
@@ -393,11 +388,15 @@ def certify_prop3(spec: ProblemSpec, lam: float, mus: Sequence[float],
                             valid=valid, hypothesis_trail=tuple(trail))
 
 
-def _check_pockets(spec: ProblemSpec, c: float, d: float,
-                   e: float) -> None:
-    """Shared structural preconditions for the pocket certificates: ordering
-    inside the interval, positive weight throughout ``(c, d)``, negative
-    weight throughout ``(e, b)``."""
+def _pocket_args(spec: ProblemSpec, mu: float, lambda_star: float, c: float,
+                 d: float, e: float) -> tuple[float, float]:
+    """``mu`` and ``lambda_star`` as floats, after the pocket certificates'
+    shared preconditions: every parameter finite, ordering inside the
+    interval, positive weight throughout ``(c, d)``, negative weight
+    throughout ``(e, b)``, and ``lambda_star > mu``."""
+    mu, lambda_star, _, _, _ = (
+        _as_finite_float(v, name) for v, name in
+        ((mu, "mu"), (lambda_star, "lambda_star"), (c, "c"), (d, "d"), (e, "e")))
     a, b = spec.a, spec.b
     if not (a <= c < d < e < b):
         raise InvalidProblemError(
@@ -412,6 +411,11 @@ def _check_pockets(spec: ProblemSpec, c: float, d: float,
             raise InvalidProblemError(
                 f"weight must be negative throughout ({e!r}, {b!r}); piece "
                 f"[{piece.x0!r}, {piece.x1!r}] has w={piece.w!r}")
+    if not lambda_star > mu:
+        raise HypothesisViolation(
+            f"lambda_star must exceed mu, got lambda_star={lambda_star!r}, "
+            f"mu={mu!r}")
+    return mu, lambda_star
 
 
 def certify_prop4(spec: ProblemSpec, mu: float, lambda_star: float,
@@ -419,13 +423,7 @@ def certify_prop4(spec: ProblemSpec, mu: float, lambda_star: float,
     """Upper bound ``lambda_plus <= lambda_star`` from two checks: the
     comparison equation at ``mu`` is disconjugate on ``[a, e]``, and the left
     solution at ``lambda_star`` vanishes inside ``(c, d)``."""
-    mu = float(mu)
-    lambda_star = float(lambda_star)
-    _check_pockets(spec, c, d, e)
-    if not lambda_star > mu:
-        raise HypothesisViolation(
-            f"lambda_star must exceed mu, got lambda_star={lambda_star!r}, "
-            f"mu={mu!r}")
+    mu, lambda_star = _pocket_args(spec, mu, lambda_star, c, d, e)
     witness = disconjugate_on(spec.coeff, mu, (spec.a, e))
     entry_i = TrailEntry(
         f"disconjugate on [{spec.a!r}, {e!r}] at mu={mu!r}",
@@ -455,13 +453,7 @@ def certify_prop5(spec: ProblemSpec, mu: float, lambda_star: float,
     4. ``(d - c) * sup sqrt(mu w + q) <= pi/2`` on ``(c, d)``;
     5. ``(d - c) * inf sqrt(lambda_star w + q) > pi`` on ``(c, d)``.
     """
-    mu = float(mu)
-    lambda_star = float(lambda_star)
-    _check_pockets(spec, c, d, e)
-    if not lambda_star > mu:
-        raise HypothesisViolation(
-            f"lambda_star must exceed mu, got lambda_star={lambda_star!r}, "
-            f"mu={mu!r}")
+    mu, lambda_star = _pocket_args(spec, mu, lambda_star, c, d, e)
     coeff = spec.coeff
     width = d - c
 
@@ -514,7 +506,7 @@ def certify_application(M: float, q: object = 0.0) -> BoundCertificate:
     hold.  Two consequence rows record the induced frequency inequalities on
     ``(0, d)`` at ``mu = 2M`` and ``lambda* = 21M/2`` for the concrete ``q``.
     """
-    M = float(M)
+    M = _as_finite_float(M, "M")
     if not M > _APP_THRESHOLD:
         raise HypothesisViolation(
             f"application bound needs M > pi^2/20 = {_APP_THRESHOLD!r}, "
@@ -566,8 +558,7 @@ def certify_application(M: float, q: object = 0.0) -> BoundCertificate:
 # Definiteness classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DefinitenessReport:
+class DefinitenessReport(NamedTuple):
     """Classification of the two quadratic forms attached to the problem:
     the weight form (R) and the energy form (L)."""
 

@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
+import warnings
 
 from . import certificates as certs
 from . import coefficients as coeffs
 from . import richardson as rich
 from . import spectrum as spec_mod
 from .errors import (HypothesisViolation, InvalidProblemError, NumericalFailure)
-
-log = logging.getLogger("slindef")
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -32,6 +30,10 @@ def _write(args: argparse.Namespace, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _warn(message: object) -> None:
+    print(f"WARNING: {message}", file=sys.stderr)
 
 
 def _load(path: str) -> coeffs.ProblemSpec:
@@ -49,7 +51,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     spec = _load(args.problem)
     result = spec_mod.find_real_eigenvalues(spec, tuple(args.window), args.tol)
     for w in result.warnings:
-        log.warning("%s", w)
+        _warn(w)
     if args.format == "csv":
         _write(args, spec_mod.scan_to_csv(result))
     else:
@@ -77,7 +79,7 @@ def _cmd_richardson(args: argparse.Namespace) -> int:
     spec = _load(args.problem)
     report = rich.richardson_numbers(spec, tuple(args.window), args.tol)
     for w in report.scan.warnings:
-        log.warning("%s", w)
+        _warn(w)
     if args.format == "csv":
         _write(args, rich.report_to_csv(spec, report, with_drift=args.drift))
     else:
@@ -228,12 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                        format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # the library's warnings (the complex search's contour retry) print
+        # as the scan's do; the filters are restored on exit
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                return args.func(args)
+            finally:
+                for w in caught:
+                    _warn(w.message)
     except InvalidProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

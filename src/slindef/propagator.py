@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coefficients import Piece, ProblemSpec
 from .errors import (InvalidProblemError, NumericalFailure, lambda_entry,
@@ -100,8 +99,7 @@ def cs_kernels(z: Scalar, t: float) -> tuple[Scalar, Scalar]:
     return math.cosh(kt), math.sinh(kt) / kappa
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(NamedTuple):
     """Solution value and derivative at a point."""
 
     x: float

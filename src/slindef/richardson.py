@@ -18,7 +18,7 @@ is ``None``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coefficients import ProblemSpec
 from .errors import DriftUndefined, EmptyWindowError, InvalidProblemError
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RichardsonReport:
+class RichardsonReport(NamedTuple):
     """Window thresholds for the type of scanned eigenvalues."""
 
     lambda_plus: float | None

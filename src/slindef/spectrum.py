@@ -20,12 +20,11 @@ from __future__ import annotations
 import cmath
 import functools
 import json
-import logging
 import math
 import os
+import warnings
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .coefficients import ProblemSpec
 from .errors import (ContourError, InvalidProblemError, NumericalFailure,
@@ -45,8 +44,6 @@ __all__ = [
     "scan_to_csv",
     "scan_to_json",
 ]
-
-log = logging.getLogger(__name__)
 
 _EPS = 2.220446049250313e-16
 # Newton's point is a root only when |D| <= _ROOT_RESIDUAL * scale
@@ -259,8 +256,7 @@ def count_zeros(spec: ProblemSpec, lam: float) -> int:
 # Eigenvalue records and scan results
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EigenRecord:
+class EigenRecord(NamedTuple):
     """One located eigenvalue.  ``zeros_in_ab`` and ``weighted_norm`` are
     populated for real eigenvalues only."""
 
@@ -290,8 +286,7 @@ class EigenRecord:
         }
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Outcome of a real-window scan."""
 
     window: tuple[float, float]
@@ -604,25 +599,25 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
     roots = _merge_roots(raw_roots, tol)
 
     records = []
-    warnings: list[str] = []
+    notes: list[str] = []
     for r in roots:
         records.append(_real_record(spec, r))
         for edge in (lo, hi):
             if abs(r - edge) <= 100.0 * tol * max(1.0, abs(edge)):
-                warnings.append(
+                notes.append(
                     f"eigenvalue {r!r} lies within the boundary band of the "
                     f"window edge {edge!r}; membership is ambiguous at tol={tol!r}")
     for edge in (lo, hi):
         d, scale = characteristic_scaled(spec, edge)
         if abs(d) <= 1e3 * _EPS * scale:
-            warnings.append(
+            notes.append(
                 f"|D| is at the numerical floor at the window edge {edge!r}; "
                 f"an eigenvalue may sit on the boundary")
 
     n_r, n_h = _empirical_indices([rec.zeros_in_ab for rec in records])
     return ScanResult(window=(lo, hi), tol=tol, records=tuple(records),
                       n_r_empirical=n_r, n_h_empirical=n_h,
-                      warnings=tuple(warnings))
+                      warnings=tuple(notes))
 
 
 def _real_record(spec: ProblemSpec, lam: float) -> EigenRecord:
@@ -639,8 +634,7 @@ def _real_record(spec: ProblemSpec, lam: float) -> EigenRecord:
 # Complex rectangle search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Rect:
+class _Rect(NamedTuple):
     re_lo: float
     re_hi: float
     im_lo: float
@@ -818,8 +812,8 @@ def find_complex_eigenvalues(spec: ProblemSpec,
             nudge = 1e-3 * outer.diam * (attempt + 1)
             outer = _Rect(search.re_lo - nudge, search.re_hi + nudge,
                           search.im_lo - nudge, search.im_hi + nudge)
-            log.warning("contour passed near a root; expanding the rectangle "
-                        "by %r and retrying", nudge)
+            warnings.warn(f"contour passed near a root; expanding the "
+                          f"rectangle by {nudge!r} and retrying", stacklevel=2)
 
     dval = functools.partial(characteristic, spec)
     roots: list[complex] = []

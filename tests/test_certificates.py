@@ -387,6 +387,33 @@ class TestApplication:
         assert cert.bound == pytest.approx(21.0)
 
 
+# every numeric parameter is checked on entry, so NaN or infinity is invalid
+# input naming the parameter, never a hypothesis verdict or a certificate
+_POCKET = dict(mu=2.0, lambda_star=10.5, c=0.0, d=0.7, e=1.7)
+
+
+def _pocket_call(fn, name):
+    return lambda v: fn(application_problem(0.0), **{**_POCKET, name: v})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, call", [
+    ("mu", verify_lemma_upper),
+    ("mu", verify_lemma_lower),
+    ("mu", lambda v: disconjugate_on(one_turning_point(-10.0), v, (-1.0, 0.0))),
+    ("q0", bound_one_turning_point),
+    ("M", certify_application),
+    ("lambda", lambda v: certify_prop3(one_turning_point(-10.0), v, [0.0])),
+    ("mu", lambda v: certify_prop3(one_turning_point(-10.0),
+                                   17.118939070171816, [v])),
+    *[(name, _pocket_call(fn, name)) for fn in (certify_prop4, certify_prop5)
+      for name in _POCKET],
+])
+def test_non_finite_parameter_is_invalid_input(name, call, bad):
+    with pytest.raises(InvalidProblemError, match=f"^{name} must be finite"):
+        call(bad)
+
+
 # --------------------------------------------------------------------------
 # Definiteness classification
 # --------------------------------------------------------------------------

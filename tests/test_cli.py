@@ -360,6 +360,100 @@ def test_certify_prop3_needs_problem_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["--kind", "one_tp", "--q0=nan"], "q0"),
+    (["--kind", "one_tp", "--q0=-inf"], "q0"),
+    (["--kind", "application", "--m=nan"], "M"),
+    (["--kind", "application", "--m=inf"], "M"),
+    (["{m10}", "--kind", "prop3", "--mu=0", "--lam=nan"], "lambda"),
+    (["{m10}", "--kind", "prop3", "--lam=17.118939070171816", "--mu=nan"],
+     "mu"),
+    *[(["{app}", "--kind", kind, "--mu=2", "--lambda-star=10.5", "--c=0",
+        "--d=0.7", "--e=1.7", f"--{flag}={bad}"], name)
+      for kind in ("prop4", "prop5")
+      for flag, name in (("mu", "mu"), ("lambda-star", "lambda_star"))
+      for bad in ("nan", "inf")],
+])
+def test_certify_non_finite_parameter_exit_2(capsys, one_tp_file, app_file,
+                                             argv, name):
+    files = {"{m10}": one_tp_file, "{app}": app_file}
+    rc, out, err = run(capsys, "certify", *(files.get(a, a) for a in argv))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {name} must be finite, got {argv[-1].split('=')[1]}\n"
+
+
+# --------------------------------------------------------------------------
+# warnings on stderr
+# --------------------------------------------------------------------------
+
+@pytest.fixture()
+def classical_file(tmp_path):
+    path = tmp_path / "classical.json"
+    save_problem(ProblemSpec(PiecewiseCoefficient(
+        (Piece(0.0, 1.0, 1.0, 0.0),))), path)
+    return str(path)
+
+
+def test_contour_retry_warns_on_stderr(capsys, classical_file):
+    # the right edge lies on the fundamental eigenvalue pi^2
+    rc, out, err = run(capsys, "complex-scan", classical_file,
+                       "--re", "5", "9.869604401089358", "--im", "-1", "1")
+    assert rc == 0
+    assert json.loads(out)["eigenvalues"]
+    assert err.startswith("WARNING: contour passed near a root; expanding "
+                          "the rectangle by ")
+    assert err.count("\n") == 1
+
+
+def test_scan_edge_band_warns_on_stderr(capsys, classical_file):
+    rc, out, err = run(capsys, "scan", classical_file,
+                       "--window", "9.869604401089358", "50")
+    assert rc == 0
+    assert json.loads(out)["warnings"]
+    assert err.startswith("WARNING: eigenvalue 9.869604401089")
+    assert "lies within the boundary band of the window edge" in err
+    assert all(line.startswith("WARNING: ")
+               for line in err.rstrip("\n").split("\n"))
+
+
+# --------------------------------------------------------------------------
+# output bytes
+# --------------------------------------------------------------------------
+
+# Each file is the CLI's stdout for its command line, byte for byte, with
+# the fixtures' problems.  certificates._jsonable turns any tuple into a
+# list, so a result record (a named tuple) that reached it would change
+# these silently.
+GOLDEN_RUNS = {
+    "classify_one_tp_m10.json": ["classify", "{m10}"],
+    "classify_one_tp_p13.json": ["classify", "{p13}"],
+    "certify_one_tp.json": ["certify", "--kind", "one_tp", "--q0", "-10"],
+    "certify_application.json": ["certify", "--kind", "application",
+                                 "--m", "2", "--q-const", "-1"],
+    "certify_prop3.json": ["certify", "{m10}", "--kind", "prop3",
+                           "--lam", "17.118939070171816", "--mu", "0.0"],
+    "certify_prop5.json": ["certify", "{app}", "--kind", "prop5", "--mu", "2",
+                           "--lambda-star", "10.5", "--c", "0",
+                           "--d", "0.7024814731040726",
+                           "--e", "1.7024814731040725"],
+    "richardson_app_drift.csv": ["richardson", "{app}", "--window", "-40",
+                                 "30", "--format", "csv", "--drift"],
+    "complex_scan_one_tp_p13.json": ["complex-scan", "{p13}", "--re", "-20",
+                                     "20", "--im", "-20", "20"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_output_matches_golden(capsys, tmp_path, one_tp_file, app_file, name):
+    p13 = tmp_path / "p13.json"
+    save_problem(one_turning_point(13.0), p13)
+    files = {"{m10}": one_tp_file, "{app}": app_file, "{p13}": str(p13)}
+    rc, out, _ = run(capsys, *(files.get(a, a) for a in GOLDEN_RUNS[name]))
+    assert rc == 0
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
 # --------------------------------------------------------------------------
 # console-script wiring
 # --------------------------------------------------------------------------

@@ -7,7 +7,9 @@ scan."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
 import sys
 
 import slindef
@@ -98,3 +100,15 @@ def test_certificates_never_consult_the_eigenvalue_scan():
             names.add(node.attr)
     assert names.isdisjoint({"find_real_eigenvalues",
                              "find_complex_eigenvalues"})
+
+
+def test_cli_import_leaves_logging_out():
+    # a CLI child pays for every module the package imports; the CLI prints
+    # its warnings itself, so logging is not among them (-S keeps site's
+    # own imports out of the count)
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, slindef.cli; print('logging' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=60).stdout
+    assert out == "False\n"
