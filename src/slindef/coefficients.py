@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
 from .errors import InvalidProblemError
@@ -54,6 +53,7 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _as_finite_float(value: object, what: str) -> float:
+    _require(not isinstance(value, bool), f"{what} is not a number: {value!r}")
     try:
         x = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError) as exc:
@@ -86,28 +86,55 @@ def _normalize_q(q: object, x0: float, x1: float) -> QSpec:
     raise InvalidProblemError(f"q must be a number or a table, got {type(q).__name__}")
 
 
-@dataclass(frozen=True)
-class Piece:
+class _Value:
+    """An immutable value: ``__init__`` sets each of ``_fields`` once, and
+    equality, hash, ``repr`` and pickling (through ``__init__``) go by them."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._astuple() == other._astuple() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
+
+
+class Piece(_Value):
     """One coefficient piece: constant weight, constant or sampled potential.
     ``constant`` is ``(w, q, x0, x1)`` for a constant ``q``, else ``None``:
     the per-lambda loops read that one attribute per piece."""
 
-    x0: float
-    x1: float
-    w: float
-    q: QSpec = 0.0
+    _fields = ("x0", "x1", "w", "q")
+    __slots__ = _fields + ("constant",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x0", _as_finite_float(self.x0, "piece x0"))
-        object.__setattr__(self, "x1", _as_finite_float(self.x1, "piece x1"))
-        object.__setattr__(self, "w", _as_finite_float(self.w, "piece weight"))
-        _require(self.x0 < self.x1,
-                 f"piece must have positive length: [{self.x0!r}, {self.x1!r}]")
-        _require(self.w != 0.0, "piece weight must be nonzero")
-        object.__setattr__(self, "q", _normalize_q(self.q, self.x0, self.x1))
-        object.__setattr__(
-            self, "constant", (self.w, self.q, self.x0, self.x1)
-            if isinstance(self.q, float) else None)
+    def __init__(self, x0: float, x1: float, w: float, q: QSpec = 0.0) -> None:
+        x0 = _as_finite_float(x0, "piece x0")
+        x1 = _as_finite_float(x1, "piece x1")
+        w = _as_finite_float(w, "piece weight")
+        _require(x0 < x1, f"piece must have positive length: [{x0!r}, {x1!r}]")
+        _require(w != 0.0, "piece weight must be nonzero")
+        q = _normalize_q(q, x0, x1)
+        self._set(x0, x1, w, q, (w, q, x0, x1) if isinstance(q, float) else None)
 
     @property
     def length(self) -> float:
@@ -149,14 +176,13 @@ class Piece:
         return (min(vals), max(vals))
 
 
-@dataclass(frozen=True)
-class PiecewiseCoefficient:
+class PiecewiseCoefficient(_Value):
     """An ordered run of pieces tiling a compact interval exactly."""
 
-    pieces: tuple[Piece, ...]
+    __slots__ = _fields = ("pieces",)
 
-    def __post_init__(self) -> None:
-        pieces = tuple(self.pieces)
+    def __init__(self, pieces: Iterable[Piece]) -> None:
+        pieces = tuple(pieces)
         _require(len(pieces) >= 1, "at least one piece is required")
         _require(all(isinstance(p, Piece) for p in pieces),
                  "pieces must be Piece instances")
@@ -164,7 +190,7 @@ class PiecewiseCoefficient:
             _require(left.x1 == right.x0,
                      f"pieces must tile the interval exactly: piece ending at "
                      f"{left.x1!r} followed by piece starting at {right.x0!r}")
-        object.__setattr__(self, "pieces", pieces)
+        self._set(pieces)
 
     @property
     def a(self) -> float:
@@ -214,23 +240,19 @@ class PiecewiseCoefficient:
         return tuple(1 if p.w > 0 else -1 for p in self.pieces)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(_Value):
     """A complete problem: coefficients plus boundary-condition angles."""
 
-    coeff: PiecewiseCoefficient
-    alpha: float = 0.0
-    beta: float = 0.0
+    __slots__ = _fields = ("coeff", "alpha", "beta")
 
-    def __post_init__(self) -> None:
-        _require(isinstance(self.coeff, PiecewiseCoefficient),
+    def __init__(self, coeff: PiecewiseCoefficient, alpha: float = 0.0, beta: float = 0.0) -> None:
+        _require(isinstance(coeff, PiecewiseCoefficient),
                  "coeff must be a PiecewiseCoefficient")
-        alpha = _as_finite_float(self.alpha, "alpha")
-        beta = _as_finite_float(self.beta, "beta")
+        alpha = _as_finite_float(alpha, "alpha")
+        beta = _as_finite_float(beta, "beta")
         _require(0.0 <= alpha < math.pi, f"alpha must lie in [0, pi), got {alpha!r}")
         _require(0.0 <= beta < math.pi, f"beta must lie in [0, pi), got {beta!r}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        self._set(coeff, alpha, beta)
 
     @property
     def a(self) -> float:
@@ -292,7 +314,7 @@ def application_problem(q: object = 0.0) -> ProblemSpec:
     bounds = [(-1.0, 0.0), (0.0, 1.0), (1.0, 2.0)]
     weights = [-1.0, 2.0, -1.0]
     if isinstance(q, (int, float)):
-        qs: Sequence[object] = [float(q)] * 3
+        qs: Sequence[object] = [q] * 3
     else:
         qs = list(q)  # type: ignore[arg-type]
         _require(len(qs) == 3, "q must be a number or a sequence of 3 entries")

@@ -463,7 +463,7 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
         if width <= 0.0:
             continue
         if depth == 0:
-            cval(x0), cval(x1)  # a lattice node: D and count from one walk
+            cval(x0), cval(x1)  # as at each new node below: D and count from one walk
         d0, d1 = dval(x0), dval(x1)
         if d0 == 0.0:
             emit(x0)
@@ -483,8 +483,10 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
             margin = max(2.0 * tol * max(1.0, abs(r)), width * 1e-9)
             if depth < 64:
                 if r - margin > x0:
+                    cval(r - margin)
                     stack.append((x0, r - margin, depth + 1))
                 if x1 > r + margin:
+                    cval(r + margin)
                     stack.append((r + margin, x1, depth + 1))
             continue
         # No sign change across the cell.
@@ -497,6 +499,7 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
         c0, c1 = cval(x0), cval(x1)
         xm = 0.5 * (x0 + x1)
         if c0 != c1:
+            cval(xm)
             stack.append((x0, xm, depth + 1))
             stack.append((xm, x1, depth + 1))
             continue

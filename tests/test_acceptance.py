@@ -10,7 +10,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -470,8 +469,9 @@ def test_criterion_8_numerical_invariants(capsys):
         else:
             spec = _draw_spec(rng)
             lam = rng.uniform(-1e4, 1e4)
-        (u,) = solution_at(replace(spec, alpha=math.pi / 2), lam, [spec.b])
-        (v,) = solution_at(replace(spec, alpha=0.0), lam, [spec.b])
+        (u,) = solution_at(ProblemSpec(spec.coeff, math.pi / 2, spec.beta), lam,
+                           [spec.b])
+        (v,) = solution_at(ProblemSpec(spec.coeff, 0.0, spec.beta), lam, [spec.b])
         det = u.y * v.yp - v.y * u.yp
         scale = max(1.0, abs(u.y * v.yp) + abs(v.y * u.yp))
         if abs(det - 1.0) / scale > 1e-10:

@@ -135,6 +135,24 @@ def test_scan_malformed_q_exit_2(capsys, tmp_path, q, message):
     assert message in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"alpha": True}, "alpha is not a number: True"),
+    ({"pieces": [{"x0": 0.0, "x1": True, "w": 1.0, "q": {"const": 0.0}}]},
+     "piece x1 is not a number: True"),
+    ({"pieces": [{"x0": 0.0, "x1": 1.0, "w": 1.0, "q": {"const": False}}]},
+     "constant q is not a number: False"),
+])
+def test_scan_json_boolean_exit_2(capsys, tmp_path, doc, message):
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps({"pieces": [
+        {"x0": 0.0, "x1": 1.0, "w": 1.0, "q": {"const": 0.0}}], **doc}))
+    rc, out, err = run(capsys, "scan", str(bad), "--window", "0", "1")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert message in err
+
+
 def test_scan_non_utf8_file_exit_2(capsys, tmp_path):
     bad = tmp_path / "latin1.json"
     bad.write_bytes(b'{"pieces": "\xe9"}')

@@ -1,7 +1,9 @@
 """Piece / coefficient / problem construction, validation, and JSON I/O."""
 
+import copy
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -121,6 +123,101 @@ class TestProblemSpec:
 
 
 # --------------------------------------------------------------------------
+# Value semantics shared by the three problem types
+# --------------------------------------------------------------------------
+
+PIECE = dict(x0=0.0, x1=1.0, w=-2.0, q=3.5)
+TABLE_PIECE = dict(x0=1.0, x1=2.0, w=1.5, q=((1.0, 0.0), (2.0, -1.0)))
+COEFF = dict(pieces=(Piece(**PIECE), Piece(**TABLE_PIECE)))
+SPEC = dict(coeff=PiecewiseCoefficient(**COEFF), alpha=0.25, beta=1.5)
+VALUE_CASES = [(Piece, PIECE), (Piece, TABLE_PIECE),
+               (PiecewiseCoefficient, COEFF), (ProblemSpec, SPEC)]
+VALUE_IDS = ["Piece-const", "Piece-table", "PiecewiseCoefficient", "ProblemSpec"]
+PIECE_REPRS = ("Piece(x0=0.0, x1=1.0, w=-2.0, q=3.5)",
+               "Piece(x0=1.0, x1=2.0, w=1.5, q=((1.0, 0.0), (2.0, -1.0)))")
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("cls, fields", VALUE_CASES, ids=VALUE_IDS)
+    def test_construction_by_keyword_and_position(self, cls, fields):
+        value = cls(**fields)
+        assert {name: getattr(value, name) for name in fields} == fields
+        assert cls(*fields.values()) == value
+
+    def test_repr_is_the_field_listing(self):
+        # the text of the former dataclass repr, pinned
+        coeff = "PiecewiseCoefficient(pieces=(" + ", ".join(PIECE_REPRS) + "))"
+        expected = [*PIECE_REPRS, coeff,
+                    f"ProblemSpec(coeff={coeff}, alpha=0.25, beta=1.5)"]
+        assert [repr(cls(**fields)) for cls, fields in VALUE_CASES] == expected
+        # integers are stored as floats, and q defaults to 0
+        assert repr(Piece(x0=0, x1=1, w=1)) == "Piece(x0=0.0, x1=1.0, w=1.0, q=0.0)"
+
+    @pytest.mark.parametrize("cls, fields", VALUE_CASES, ids=VALUE_IDS)
+    def test_equality_and_hash_by_fields(self, cls, fields):
+        a, b = cls(**fields), cls(**dict(fields))
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(tuple(fields.values()))
+        assert a != tuple(fields.values())
+        assert a != ProblemSpec(PiecewiseCoefficient((Piece(0.0, 1.0, 1.0),)))
+
+    def test_fields_differ_unequal(self):
+        assert Piece(**PIECE) != Piece(**{**PIECE, "w": 2.0})
+        assert ProblemSpec(**SPEC) != ProblemSpec(**{**SPEC, "beta": 0.0})
+        assert (PiecewiseCoefficient(**COEFF)
+                != PiecewiseCoefficient(COEFF["pieces"][:1]))
+
+    def test_constant_is_not_a_field(self):
+        a, b = Piece(**PIECE), Piece(**PIECE)
+        assert a.constant == (-2.0, 3.5, 0.0, 1.0)
+        assert Piece(**TABLE_PIECE).constant is None
+        object.__setattr__(b, "constant", None)
+        assert a == b and hash(a) == hash(b)
+        assert "constant" not in repr(a)
+
+    @pytest.mark.parametrize("cls, fields", VALUE_CASES, ids=VALUE_IDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, fields):
+        value = cls(**fields)
+        for name in [*fields, "constant", "other"]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert {name: getattr(value, name) for name in fields} == fields
+
+    @pytest.mark.parametrize("cls, fields", VALUE_CASES, ids=VALUE_IDS)
+    def test_pickle_and_copy_round_trip(self, cls, fields):
+        value = cls(**fields)
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                     copy.deepcopy(value)):
+            assert type(twin) is cls and twin == value
+            assert repr(twin) == repr(value)
+            if cls is Piece:
+                assert twin.constant == value.constant
+
+    def test_unpickling_validates(self):
+        piece = Piece(**PIECE)
+        object.__setattr__(piece, "w", 0.0)
+        blob = pickle.dumps(piece)
+        with pytest.raises(InvalidProblemError, match="weight must be nonzero"):
+            pickle.loads(blob)
+
+    def test_validation_messages(self):
+        with pytest.raises(InvalidProblemError, match="must be Piece instances"):
+            PiecewiseCoefficient(((0.0, 1.0, 1.0, 0.0),))
+        with pytest.raises(InvalidProblemError, match="at least one piece"):
+            PiecewiseCoefficient([])
+        with pytest.raises(InvalidProblemError, match="must be a PiecewiseCoefficient"):
+            ProblemSpec(COEFF["pieces"])
+        with pytest.raises(InvalidProblemError, match="alpha must lie in"):
+            ProblemSpec(SPEC["coeff"], 4.0)
+        with pytest.raises(InvalidProblemError, match="piece x1 is not a number"):
+            Piece(0.0, "one", 1.0)
+        # a list of pieces is stored as a tuple
+        assert PiecewiseCoefficient(list(COEFF["pieces"])) == PiecewiseCoefficient(**COEFF)
+
+
+# --------------------------------------------------------------------------
 # Canonical builders
 # --------------------------------------------------------------------------
 
@@ -149,6 +246,9 @@ class TestBuilders:
         assert all(p.q_at(p.x0) == -1.5 for p in spec.pieces)
         spec3 = application_problem([0.0, -1.0, 0.5])
         assert [p.q_at(p.x0) for p in spec3.pieces] == [0.0, -1.0, 0.5]
+        assert application_problem(2) == application_problem(2.0)
+        with pytest.raises(InvalidProblemError, match="constant q is not a number"):
+            application_problem(True)
 
     def test_build_canonical_dispatch(self):
         assert build_canonical("one_tp_sign", q0=-3.0) == one_turning_point(-3.0)
@@ -205,6 +305,21 @@ class TestJsonIO:
         d = problem_to_dict(app_spec)
         mutate(d)
         with pytest.raises(InvalidProblemError):
+            problem_from_dict(d)
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d.update(alpha=True), "alpha"),
+        (lambda d: d["pieces"][0].update(x1=True), "piece x1"),
+        (lambda d: d["pieces"][0].update(q={"const": False}), "constant q"),
+        (lambda d: d["pieces"][0].update(
+            q={"table": [[-1.0, 0.0], [0.0, True]]}), "q table value"),
+        (lambda d: d.update(interval=[-1.0, True]), "interval end"),
+    ], ids=["alpha", "x1", "const", "table", "interval"])
+    def test_rejects_json_booleans(self, app_spec, mutate, field):
+        # JSON true and false are not numbers, though Python's bool is an int
+        d = problem_to_dict(app_spec)
+        mutate(d)
+        with pytest.raises(InvalidProblemError, match=f"^{field} is not a number"):
             problem_from_dict(d)
 
     def test_load_missing_file_raises_oserror(self, tmp_path):

@@ -112,3 +112,15 @@ def test_cli_import_leaves_logging_out():
          "import sys, slindef.cli; print('logging' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True, timeout=60).stdout
     assert out == "False\n"
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # the problem types are plain slotted classes, so a CLI child neither
+    # loads dataclasses (and the inspect it imports) nor generates code
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, slindef.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, check=True, timeout=60).stdout
+    assert out == "[]\n"

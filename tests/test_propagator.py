@@ -3,7 +3,6 @@
 import cmath
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,8 +36,8 @@ def terminal(spec, lam):
 def fundamental_pair(spec, lam, x):
     """The states at ``x`` of the fundamental solutions: ``alpha = pi/2``
     and ``alpha = 0`` launch ``(1, 0)`` and ``(0, 1)`` at ``a``."""
-    (u,) = solution_at(replace(spec, alpha=math.pi / 2), lam, [x])
-    (v,) = solution_at(replace(spec, alpha=0.0), lam, [x])
+    (u,) = solution_at(ProblemSpec(spec.coeff, math.pi / 2, spec.beta), lam, [x])
+    (v,) = solution_at(ProblemSpec(spec.coeff, 0.0, spec.beta), lam, [x])
     return u, v
 
 
