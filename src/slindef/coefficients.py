@@ -53,7 +53,8 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _as_finite_float(value: object, what: str) -> float:
-    _require(not isinstance(value, bool), f"{what} is not a number: {value!r}")
+    _require(not isinstance(value, (bool, str, bytes, bytearray)),
+             f"{what} is not a number: {value!r}")
     try:
         x = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError) as exc:

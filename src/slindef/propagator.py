@@ -27,7 +27,9 @@ the zero count, the norm, the zero drift and :func:`solution_at` all read
 one computed solution bit for bit: :func:`_carry` crosses a tabulated piece
 for ``characteristic_scaled`` and polishes the zero walk's zeros, and both
 walks, the hottest loops, cross constant pieces with the same arithmetic
-inline.
+inline.  For real ``lambda`` the Magnus steps take the real branches of
+:func:`cs_kernels` inline too, in its operation order: a call per step made
+tabulated walks 10-19 % slower.
 Every stretch carries the lambda-derivative of ``(y, y')`` in closed form,
 and one fold, :func:`_lambda_fold`, serves every use of it: the states of
 :func:`solution_at`, the weighted norm by the Lagrange identity, Newton's
@@ -175,6 +177,7 @@ def _magnus_steps(piece: Piece, lam: Scalar, x_from: float, x_to: float):
     """
     w = piece.w
     lw = lam * w
+    real = not isinstance(lw, complex)
     stops = [(x_from, piece.q_at(x_from))]
     stops.extend(node for node in piece.q  # type: ignore[union-attr]
                  if x_from < node[0] < x_to)
@@ -207,7 +210,26 @@ def _magnus_steps(piece: Piece, lam: Scalar, x_from: float, x_to: float):
             k2 = k + k_shift
             d = d0 + dk * k
             z = k2 - d * d
-            c, s = cs_kernels(z, h)
+            if real:
+                # cs_kernels' real branches, bit for bit (same operation
+                # order); a call here cost 10-19 % of a tabulated walk
+                u = z * h * h
+                if abs(u) < _SERIES_CUTOFF:
+                    c = 1.0 - (u / 2.0) * (1.0 - (u / 12.0) * (1.0 - u / 30.0))
+                    s = h * (1.0 - (u / 6.0) * (1.0 - (u / 20.0)
+                                                * (1.0 - u / 42.0)))
+                elif z > 0.0:
+                    kz = math.sqrt(z)
+                    kt = kz * h
+                    if kt > _PHASE_LIMIT:
+                        raise _phase_failure(kt)
+                    c, s = math.cos(kt), math.sin(kt) / kz
+                else:
+                    kz = math.sqrt(-z)
+                    kt = kz * h
+                    c, s = math.cosh(kt), math.sinh(kt) / kz
+            else:
+                c, s = cs_kernels(z, h)
             yield (c + s * d, s, -s * k2, c - s * d, c, s, dd, k2, d, z,
                    xa + j * h, h)
 

@@ -153,6 +153,17 @@ def test_scan_json_boolean_exit_2(capsys, tmp_path, doc, message):
     assert message in err
 
 
+def test_scan_json_string_number_exit_2(capsys, tmp_path):
+    bad = tmp_path / "strings.json"
+    bad.write_text(json.dumps({"interval": ["0", "1"], "pieces": [
+        {"x0": 0.0, "x1": 1.0, "w": 1.0, "q": {"const": 0.0}}]}))
+    rc, out, err = run(capsys, "scan", str(bad), "--window", "0", "1")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "interval start is not a number: '0'" in err
+
+
 def test_scan_non_utf8_file_exit_2(capsys, tmp_path):
     bad = tmp_path / "latin1.json"
     bad.write_bytes(b'{"pieces": "\xe9"}')

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -321,6 +322,34 @@ class TestJsonIO:
         mutate(d)
         with pytest.raises(InvalidProblemError, match=f"^{field} is not a number"):
             problem_from_dict(d)
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d.update(alpha="0.3"), "alpha"),
+        (lambda d: d["pieces"][0].update(x1=" 1e0 "), "piece x1"),
+        (lambda d: d["pieces"][0].update(w="2"), "piece weight"),
+        (lambda d: d["pieces"][0].update(
+            q={"table": [["0", "1"], ["1", "2"]]}), "q table node"),
+        (lambda d: d["pieces"][0].update(
+            q={"table": [[0.0, "1"], [1.0, "2"]]}), "q table value"),
+        (lambda d: d.update(interval=["0", "1"]), "interval start"),
+    ], ids=["alpha", "x1", "w", "table node", "table value", "interval"])
+    def test_rejects_json_strings(self, mutate, field):
+        # float() would parse each of these strings; a problem file that
+        # quotes its numbers is malformed all the same
+        d = {"pieces": [{"x0": 0.0, "x1": 1.0, "w": 1.0, "q": {"const": 0.0}}]}
+        mutate(d)
+        with pytest.raises(InvalidProblemError, match=f"^{field} is not a number"):
+            problem_from_dict(d)
+
+    def test_accepts_ints_and_numpy_scalars(self):
+        spec = ProblemSpec(PiecewiseCoefficient((
+            Piece(np.int64(0), 1, np.float64(2.0), ((0, np.float32(1.0)),
+                                                    (1, 2))),)),
+            alpha=np.float64(0.3))
+        assert spec == ProblemSpec(PiecewiseCoefficient((
+            Piece(0.0, 1.0, 2.0, ((0.0, 1.0), (1.0, 2.0))),)), alpha=0.3)
+        assert problem_from_dict({"interval": [0, 1], "pieces": [
+            {"x0": 0, "x1": 1, "w": 2, "q": {"const": 3}}]}).pieces[0].q == 3.0
 
     def test_load_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -3,17 +3,20 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slindef import (
     InvalidProblemError,
+    NumericalFailure,
     Piece,
     PiecewiseCoefficient,
     ProblemSpec,
+    characteristic,
     cs_kernels,
     solution_at,
 )
@@ -393,3 +396,57 @@ class TestMagnus:
             (const,) = stretches(Piece(0.0, 0.8, 1.7, -2.0), lam, 0.0, 0.8)
             (step,) = stretches(flat, lam, 0.0, 0.8)
             assert step[:4] == pytest.approx(const[:4], rel=1e-12, abs=1e-12)
+
+    # Real lambda steps compute (C, S) inline, complex lambda calls
+    # cs_kernels; either way each step must be the flow cs_kernels gives for
+    # its own z and h.  A flat table of length h with w = 1 and q = 0 makes
+    # z = lambda: the examples sit at u = z h^2 just below and at the series
+    # cutoff, at lambda = 0 and -0, and where (z h) h and z (h h) fall on
+    # either side of the cutoff (for z < 0 the series and sinh differ in
+    # S's last bit there)
+    @staticmethod
+    def _assert_kernel_steps(piece, lam):
+        steps = list(stretches(piece, lam, piece.x0, piece.x1))
+        assert steps
+        for step in steps:
+            *_, k2, d, z, _, h = step
+            c, s = cs_kernels(z, h)
+            assert step[:6] == (c + s * d, s, -s * k2, c - s * d, c, s)
+            assert isinstance(c, complex) == isinstance(lam, complex)
+
+    @given(st.floats(min_value=-1e4, max_value=1e4),
+           st.floats(min_value=0.01, max_value=1.0),
+           st.lists(st.floats(min_value=-50.0, max_value=50.0),
+                    min_size=2, max_size=4),
+           st.sampled_from((-1.3, 1.0, 2.5)))
+    @example(lam=math.nextafter(1e-4, 0.0), length=1.0, qs=[0.0, 0.0], w=1.0)
+    @example(lam=1e-4, length=1.0, qs=[0.0, 0.0], w=1.0)
+    @example(lam=0.009999999999999998, length=0.1, qs=[0.0, 0.0], w=1.0)
+    @example(lam=-0.009999999999999998, length=0.1, qs=[0.0, 0.0], w=1.0)
+    @example(lam=-2e-5, length=0.7, qs=[0.0, 0.0], w=1.0)
+    @example(lam=0.0, length=0.6, qs=[0.0, 0.0], w=1.0)
+    @example(lam=-0.0, length=0.6, qs=[-0.0, -0.0], w=1.0)
+    def test_real_steps_match_cs_kernels(self, lam, length, qs, w):
+        nodes = [length * j / (len(qs) - 1) for j in range(len(qs))]
+        nodes[-1] = length
+        self._assert_kernel_steps(
+            Piece(0.0, length, w, tuple(zip(nodes, qs))), lam)
+
+    @given(st.floats(min_value=-1e4, max_value=1e4),
+           st.floats(min_value=-300.0, max_value=300.0))
+    def test_complex_steps_match_cs_kernels(self, real, imag):
+        piece = Piece(0.0, 1.0, -1.3, ((0.0, 4.0), (0.35, -9.0), (1.0, 25.0)))
+        self._assert_kernel_steps(piece, complex(real, imag))
+
+    @pytest.mark.parametrize("lam", [1e31, -1e31, 1e40, complex(1e40, 1.0)])
+    def test_huge_lambda_names_the_summed_phase(self, lam):
+        # the walk's bound span sqrt(max |k2|) over the segment fails first;
+        # at 1e40 a step's own phase (1/512 of it) is past the limit as well
+        piece = Piece(0.0, 1.0, 1.0, ((0.0, -3.0), (1.0, 2.0)))
+        phase = math.sqrt(max(abs(lam - 3.0), abs(lam + 2.0)))
+        message = (f"the phase {phase!r} of the solution exceeds 1e+15: "
+                   f"double precision leaves it no correct digits")
+        with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+            list(stretches(piece, lam, 0.0, 1.0))
+        with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+            characteristic(one_piece(piece), lam)
