@@ -17,11 +17,11 @@ import math
 from typing import NamedTuple, Sequence
 
 from .coefficients import (Piece, PiecewiseCoefficient, ProblemSpec,
-                           _as_finite_float, application_problem)
+                           _as_finite_float, _as_tol, application_problem)
 from .errors import (HypothesisViolation, InvalidProblemError,
                      NumericalFailure, lambda_entry)
 from .propagator import _carry, weighted_norm
-from .spectrum import (_newton_polish, _refine_bracket, _zero_walk,
+from .spectrum import (_bracket_root, _newton_polish, _zero_walk,
                        characteristic_scaled, count_zeros, interior_zeros)
 
 __all__ = [
@@ -49,6 +49,8 @@ _QUARTER_PI_SQ = math.pi * math.pi / 4.0
 def _jsonable(value):
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {f: _jsonable(getattr(value, f)) for f in value._fields}
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -84,18 +86,17 @@ class BoundCertificate(NamedTuple):
         return tuple(e.condition for e in self.hypothesis_trail if not e.passed)
 
 
+def _certificate(kind: str, direction: str, bound: float,
+                 trail: Sequence[TrailEntry]) -> BoundCertificate:
+    """The one way a certificate is built: it is valid exactly when every
+    row of its trail passed."""
+    return BoundCertificate(kind=kind, direction=direction, bound=bound,
+                            valid=all(e.passed for e in trail),
+                            hypothesis_trail=tuple(trail))
+
+
 def certificate_to_dict(cert: BoundCertificate) -> dict:
-    return {
-        "kind": cert.kind,
-        "direction": cert.direction,
-        "bound": cert.bound,
-        "valid": cert.valid,
-        "hypothesis_trail": [
-            {"condition": e.condition, "value": _jsonable(e.value),
-             "passed": e.passed}
-            for e in cert.hypothesis_trail
-        ],
-    }
+    return _jsonable(cert)
 
 
 def certificate_to_json(cert: BoundCertificate) -> str:
@@ -202,14 +203,10 @@ def bound_one_turning_point(q0: float) -> tuple[BoundCertificate, BoundCertifica
         TrailEntry("q0 < -pi^2/4", q0, True),
         TrailEntry("bound = |q0| - pi^2/4", bound, True),
     )
-    upper = BoundCertificate(kind="one_tp", direction="upper_on_lambda_plus",
-                             bound=bound, valid=True, hypothesis_trail=trail)
-    lower = BoundCertificate(kind="one_tp", direction="lower_on_lambda_minus",
-                             bound=-bound, valid=True,
-                             hypothesis_trail=trail + (
-                                 TrailEntry("mirror symmetry lambda -> -lambda",
-                                            -bound, True),))
-    return upper, lower
+    mirror = TrailEntry("mirror symmetry lambda -> -lambda", -bound, True)
+    return (_certificate("one_tp", "upper_on_lambda_plus", bound, trail),
+            _certificate("one_tp", "lower_on_lambda_minus", -bound,
+                         trail + (mirror,)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +247,8 @@ def _clip_pieces(coeff: PiecewiseCoefficient, x_from: float,
         hi = min(piece.x1, x_to)
         if hi <= lo:
             continue
-        if piece.has_constant_q:
-            out.append(Piece(lo, hi, piece.w, piece.q))
-        else:
-            nodes = [(lo, piece.q_at(lo))]
-            nodes += [(xv, qv) for (xv, qv) in piece.q  # type: ignore[union-attr]
-                      if lo < xv < hi]
-            nodes.append((hi, piece.q_at(hi)))
-            out.append(Piece(lo, hi, piece.w, tuple(nodes)))
+        out.append(Piece(lo, hi, piece.w, piece.q if piece.has_constant_q
+                         else piece.q_table(lo, hi)))
     return out
 
 
@@ -295,7 +286,8 @@ def disconjugate_on(obj: ProblemSpec | PiecewiseCoefficient, mu: float,
     the result and the method is labeled ``"comparison"``.
     """
     coeff = _coeff_of(obj)
-    c, d = float(interval[0]), float(interval[1])
+    c = _as_finite_float(interval[0], "interval start")
+    d = _as_finite_float(interval[1], "interval end")
     if not (coeff.a <= c < d <= coeff.b):
         raise InvalidProblemError(
             f"interval {interval!r} is not inside [{coeff.a!r}, {coeff.b!r}]")
@@ -333,6 +325,17 @@ def disconjugate_on(obj: ProblemSpec | PiecewiseCoefficient, mu: float,
 # Certificates from disconjugacy across zero gaps
 # ---------------------------------------------------------------------------
 
+def _disconjugacy_row(spec: ProblemSpec, mu: float, g0: float,
+                      g1: float) -> TrailEntry:
+    """The trail row of a :func:`disconjugate_on` check on ``[g0, g1]``."""
+    witness = disconjugate_on(spec, mu, (g0, g1))
+    return TrailEntry(
+        f"disconjugate on [{g0!r}, {g1!r}] at mu={mu!r}",
+        None if witness is None else
+        {"min_value": witness.min_value, "method": witness.method},
+        witness is not None)
+
+
 def certify_prop3(spec: ProblemSpec, lam: float, mus: Sequence[float],
                   tol: float = 1e-8) -> BoundCertificate:
     """Bound the type thresholds by an eigenvalue ``lam`` whose zero gaps all
@@ -346,8 +349,7 @@ def certify_prop3(spec: ProblemSpec, lam: float, mus: Sequence[float],
     """
     lam = _as_finite_float(lam, "lambda")
     mus = [_as_finite_float(m, "mu") for m in mus]
-    if not (0.0 < tol < math.inf):
-        raise InvalidProblemError(f"tol must be positive and finite, got {tol!r}")
+    tol = _as_tol(tol)
     d, scale = characteristic_scaled(spec, lam)
     if abs(d) > tol * scale:
         raise InvalidProblemError(
@@ -374,18 +376,9 @@ def certify_prop3(spec: ProblemSpec, lam: float, mus: Sequence[float],
 
     trail = [TrailEntry(f"lambda={lam!r} is an eigenvalue (|D|/scale)",
                         abs(d) / scale, True)]
-    valid = True
-    for (g0, g1), m in zip(gaps, mus):
-        witness = disconjugate_on(spec.coeff, m, (g0, g1))
-        ok = witness is not None
-        valid = valid and ok
-        trail.append(TrailEntry(
-            f"disconjugate on [{g0!r}, {g1!r}] at mu={m!r}",
-            None if witness is None else
-            {"min_value": witness.min_value, "method": witness.method},
-            ok))
-    return BoundCertificate(kind="prop3", direction=direction, bound=lam,
-                            valid=valid, hypothesis_trail=tuple(trail))
+    trail += [_disconjugacy_row(spec, m, g0, g1)
+              for (g0, g1), m in zip(gaps, mus)]
+    return _certificate("prop3", direction, lam, trail)
 
 
 def _pocket_args(spec: ProblemSpec, mu: float, lambda_star: float, c: float,
@@ -424,22 +417,14 @@ def certify_prop4(spec: ProblemSpec, mu: float, lambda_star: float,
     comparison equation at ``mu`` is disconjugate on ``[a, e]``, and the left
     solution at ``lambda_star`` vanishes inside ``(c, d)``."""
     mu, lambda_star = _pocket_args(spec, mu, lambda_star, c, d, e)
-    witness = disconjugate_on(spec.coeff, mu, (spec.a, e))
-    entry_i = TrailEntry(
-        f"disconjugate on [{spec.a!r}, {e!r}] at mu={mu!r}",
-        None if witness is None else
-        {"min_value": witness.min_value, "method": witness.method},
-        witness is not None)
+    disconjugate = _disconjugacy_row(spec, mu, spec.a, e)
     zs = interior_zeros(spec, lambda_star)
     inside = [z for z in zs if c < z < d]
-    entry_ii = TrailEntry(
-        f"solution at lambda_star={lambda_star!r} vanishes in ({c!r}, {d!r})",
-        inside[0] if inside else f"zeros at {zs!r}",
-        bool(inside))
-    valid = entry_i.passed and entry_ii.passed
-    return BoundCertificate(kind="prop4", direction="upper_on_lambda_plus",
-                            bound=lambda_star, valid=valid,
-                            hypothesis_trail=(entry_i, entry_ii))
+    return _certificate("prop4", "upper_on_lambda_plus", lambda_star, (
+        disconjugate,
+        TrailEntry(f"solution at lambda_star={lambda_star!r} vanishes in "
+                   f"({c!r}, {d!r})",
+                   inside[0] if inside else f"zeros at {zs!r}", bool(inside))))
 
 
 def certify_prop5(spec: ProblemSpec, mu: float, lambda_star: float,
@@ -483,10 +468,7 @@ def certify_prop5(spec: ProblemSpec, mu: float, lambda_star: float,
         TrailEntry(f"(d - c) sqrt(inf(lambda* w + q)) > pi on ({c!r}, {d!r})",
                    freq_star, inf_cd_star > 0.0 and freq_star > math.pi),
     )
-    valid = all(t.passed for t in trail)
-    return BoundCertificate(kind="prop5", direction="upper_on_lambda_plus",
-                            bound=lambda_star, valid=valid,
-                            hypothesis_trail=trail)
+    return _certificate("prop5", "upper_on_lambda_plus", lambda_star, trail)
 
 
 # ---------------------------------------------------------------------------
@@ -524,34 +506,27 @@ def certify_application(M: float, q: object = 0.0) -> BoundCertificate:
     sup_abs_mid = max(abs(qmin_mid), abs(qmax_mid))
     _, sup_right = _range_of(coeff, 0.0, 1.0, e)
 
-    mc1 = sup_left <= M
-    mc2 = sup_abs_mid <= M
-    mc3 = sup_right <= M
-
     _, sup_cd = _range_of(coeff, mu, 0.0, d)
     inf_cd_star, _ = _range_of(coeff, lam_star, 0.0, d)
     freq_mu = d * math.sqrt(max(0.0, sup_cd))
     freq_star = d * math.sqrt(max(0.0, inf_cd_star))
     slack = 1.0 + 16.0 * 2.220446049250313e-16
-    cons1 = freq_mu <= 0.5 * math.pi * slack
-    cons2 = inf_cd_star > 0.0 and freq_star > math.pi / slack
 
-    trail = (
+    return _certificate("application", "upper_on_lambda_plus", bound, (
         TrailEntry("M > pi^2/20", M, True),
         TrailEntry(f"window width d = pi / (2 sqrt(5 M))", d, True),
         TrailEntry(f"comparison value mu = 2 M", mu, True),
-        TrailEntry(f"sup q <= M on (-1, 0)", sup_left, mc1),
-        TrailEntry(f"sup |q| <= M on (0, {d!r})", sup_abs_mid, mc2),
-        TrailEntry(f"sup q <= M on (1, {e!r})", sup_right, mc3),
+        TrailEntry(f"sup q <= M on (-1, 0)", sup_left, sup_left <= M),
+        TrailEntry(f"sup |q| <= M on (0, {d!r})", sup_abs_mid,
+                   sup_abs_mid <= M),
+        TrailEntry(f"sup q <= M on (1, {e!r})", sup_right, sup_right <= M),
         TrailEntry(f"consequence: (d - 0) sqrt(sup(mu w + q)) <= pi/2 on "
-                   f"(0, {d!r}) (within rounding)", freq_mu, cons1),
+                   f"(0, {d!r}) (within rounding)", freq_mu,
+                   freq_mu <= 0.5 * math.pi * slack),
         TrailEntry(f"consequence: (d - 0) sqrt(inf(lambda* w + q)) > pi on "
-                   f"(0, {d!r}) (within rounding)", freq_star, cons2),
-    )
-    valid = mc1 and mc2 and mc3 and cons1 and cons2
-    return BoundCertificate(kind="application",
-                            direction="upper_on_lambda_plus",
-                            bound=bound, valid=valid, hypothesis_trail=trail)
+                   f"(0, {d!r}) (within rounding)", freq_star,
+                   inf_cd_star > 0.0 and freq_star > math.pi / slack),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +602,8 @@ def _lowest_unit_weight_eigenvalue(specL: ProblemSpec) -> float:
         if mid in (lo, hi):
             break  # lo and hi are adjacent doubles
         lo, hi = (mid, hi) if below(mid) else (lo, mid)
-    # the width the real scan refines a bracket to at tol = 1e-10
-    root, _ = _refine_bracket(dval, lo, hi, dval(lo), dval(hi),
-                              0.25e-10 * max(1.0, abs(lo), abs(hi)))
-    return _newton_polish(specL, root)[0]
+    # refined as the real scan refines a bracket at tol = 1e-10
+    return _newton_polish(specL, _bracket_root(dval, lo, hi, 1e-10))[0]
 
 
 def classify_definiteness(spec: ProblemSpec) -> DefinitenessReport:
@@ -685,8 +658,7 @@ def classify_definiteness(spec: ProblemSpec) -> DefinitenessReport:
         g = 2.0 * freq
         qint = 0.0
         for piece in spec.pieces:
-            nodes = (((piece.x0, piece.q), (piece.x1, piece.q))
-                     if piece.has_constant_q else piece.q)
+            nodes = piece.q_table(piece.x0, piece.x1)
             for (xa, qa), (xb, qb) in zip(nodes, nodes[1:]):
                 slope = (qb - qa) / (xb - xa)
                 ta, tb = g * (xa - spec.a), g * (xb - spec.a)

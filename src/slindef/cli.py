@@ -36,19 +36,15 @@ def _warn(message: object) -> None:
     print(f"WARNING: {message}", file=sys.stderr)
 
 
-def _load(path: str) -> coeffs.ProblemSpec:
-    return coeffs.load_problem(path)
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
-    spec = _load(args.problem)
+    spec = coeffs.load_problem(args.problem)
     report = certs.classify_definiteness(spec)
     _write(args, json.dumps(report.to_dict(), indent=2) + "\n")
     return 0
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    spec = _load(args.problem)
+    spec = coeffs.load_problem(args.problem)
     result = spec_mod.find_real_eigenvalues(spec, tuple(args.window), args.tol)
     for w in result.warnings:
         _warn(w)
@@ -60,7 +56,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_complex_scan(args: argparse.Namespace) -> int:
-    spec = _load(args.problem)
+    spec = coeffs.load_problem(args.problem)
     records = spec_mod.find_complex_eigenvalues(
         spec, (tuple(args.re), tuple(args.im)), args.tol)
     if args.format == "csv":
@@ -76,7 +72,7 @@ def _cmd_complex_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_richardson(args: argparse.Namespace) -> int:
-    spec = _load(args.problem)
+    spec = coeffs.load_problem(args.problem)
     report = rich.richardson_numbers(spec, tuple(args.window), args.tol)
     for w in report.scan.warnings:
         _warn(w)
@@ -88,7 +84,7 @@ def _cmd_richardson(args: argparse.Namespace) -> int:
 
 
 def _cmd_drift(args: argparse.Namespace) -> int:
-    spec = _load(args.problem)
+    spec = coeffs.load_problem(args.problem)
     value = rich.zero_drift(spec, args.lam, args.zero_index)
     _write(args, json.dumps({"lambda": args.lam,
                              "zero_index": args.zero_index,
@@ -121,7 +117,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         return 0
     if args.problem is None:
         raise InvalidProblemError(f"certify --kind {kind} needs a problem file")
-    spec = _load(args.problem)
+    spec = coeffs.load_problem(args.problem)
     if kind == "prop3":
         if args.lam is None or args.mu is None:
             raise InvalidProblemError("certify --kind prop3 needs --lam and --mu")
@@ -153,9 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "sign-indefinite piecewise-constant weights.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, problem: bool = True) -> None:
-        if problem:
-            p.add_argument("problem", help="problem JSON file")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("problem", help="problem JSON file")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="numerical tolerance (default 1e-9)")
         p.add_argument("--format", choices=("json", "csv"), default="json",

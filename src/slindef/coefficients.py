@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import InvalidProblemError
 
@@ -63,28 +63,39 @@ def _as_finite_float(value: object, what: str) -> float:
     return x
 
 
+def _as_tol(tol: object) -> float:
+    """A caller's tolerance as a float, which must be positive and finite."""
+    tol = _as_finite_float(tol, "tol")
+    _require(tol > 0.0, f"tol must be positive and finite, got {tol!r}")
+    return tol
+
+
+def _is_scalar(q: object) -> bool:
+    """Whether ``q`` is one number, not a table: a ``str``, ``bytes`` or
+    anything not iterable, for :func:`_as_finite_float` to check."""
+    return isinstance(q, (str, bytes)) or not isinstance(q, Iterable)
+
+
 def _normalize_q(q: object, x0: float, x1: float) -> QSpec:
     """Validate a potential given as a constant or as a sample table."""
-    if isinstance(q, (int, float)):
+    if _is_scalar(q):
         return _as_finite_float(q, "constant q")
-    if isinstance(q, Iterable):
-        rows = []
-        for row in q:  # type: ignore[assignment]
-            _require(isinstance(row, Iterable),
-                     f"q table rows must be [x, q] pairs, got {row!r}")
-            pair = tuple(row)
-            _require(len(pair) == 2, f"q table rows need 2 entries, got {pair!r}")
-            rows.append((_as_finite_float(pair[0], "q table node"),
-                         _as_finite_float(pair[1], "q table value")))
-        _require(len(rows) >= 2, "q table needs at least 2 nodes")
-        xs = [r[0] for r in rows]
-        _require(all(x2 > x1_ for x1_, x2 in zip(xs, xs[1:])),
-                 "q table nodes must be strictly increasing")
-        _require(xs[0] == x0 and xs[-1] == x1,
-                 f"q table must span the piece exactly: nodes cover "
-                 f"[{xs[0]!r}, {xs[-1]!r}], piece is [{x0!r}, {x1!r}]")
-        return tuple(rows)
-    raise InvalidProblemError(f"q must be a number or a table, got {type(q).__name__}")
+    rows = []
+    for row in q:  # type: ignore[attr-defined]
+        _require(isinstance(row, Iterable),
+                 f"q table rows must be [x, q] pairs, got {row!r}")
+        pair = tuple(row)
+        _require(len(pair) == 2, f"q table rows need 2 entries, got {pair!r}")
+        rows.append((_as_finite_float(pair[0], "q table node"),
+                     _as_finite_float(pair[1], "q table value")))
+    _require(len(rows) >= 2, "q table needs at least 2 nodes")
+    xs = [r[0] for r in rows]
+    _require(all(x2 > x1_ for x1_, x2 in zip(xs, xs[1:])),
+             "q table nodes must be strictly increasing")
+    _require(xs[0] == x0 and xs[-1] == x1,
+             f"q table must span the piece exactly: nodes cover "
+             f"[{xs[0]!r}, {xs[-1]!r}], piece is [{x0!r}, {x1!r}]")
+    return tuple(rows)
 
 
 class _Value:
@@ -166,14 +177,18 @@ class Piece(_Value):
         t = (x - xa) / (xb - xa)
         return qa + t * (qb - qa)
 
+    def q_table(self, lo: float, hi: float) -> QTable:
+        """``q`` on ``[lo, hi]`` inside the piece as a table, linear between
+        rows: its values at both ends and the nodes strictly between."""
+        inner = () if isinstance(self.q, float) else [
+            node for node in self.q if lo < node[0] < hi]
+        return ((lo, self.q_at(lo)), *inner, (hi, self.q_at(hi)))
+
     def q_extremes(self, lo: float | None = None, hi: float | None = None) -> tuple[float, float]:
         """(min, max) of q over the intersection of the piece with [lo, hi]."""
         lo = self.x0 if lo is None else max(lo, self.x0)
         hi = self.x1 if hi is None else min(hi, self.x1)
-        if isinstance(self.q, float):
-            return (self.q, self.q)
-        vals = [self.q_at(lo), self.q_at(hi)]
-        vals += [qv for (xv, qv) in self.q if lo < xv < hi]
+        vals = [qv for _, qv in self.q_table(lo, hi)]
         return (min(vals), max(vals))
 
 
@@ -227,11 +242,8 @@ class PiecewiseCoefficient(_Value):
 
     def turning_points(self) -> tuple[float, ...]:
         """Interior breakpoints where the weight changes sign."""
-        out = []
-        for left, right in zip(self.pieces, self.pieces[1:]):
-            if left.w * right.w < 0.0:
-                out.append(right.x0)
-        return tuple(out)
+        return tuple(right.x0 for left, right in zip(self.pieces, self.pieces[1:])
+                     if left.w * right.w < 0.0)
 
     def weight_range(self) -> tuple[float, float]:
         ws = [p.w for p in self.pieces]
@@ -314,11 +326,8 @@ def application_problem(q: object = 0.0) -> ProblemSpec:
     """
     bounds = [(-1.0, 0.0), (0.0, 1.0), (1.0, 2.0)]
     weights = [-1.0, 2.0, -1.0]
-    if isinstance(q, (int, float)):
-        qs: Sequence[object] = [q] * 3
-    else:
-        qs = list(q)  # type: ignore[arg-type]
-        _require(len(qs) == 3, "q must be a number or a sequence of 3 entries")
+    qs = [q] * 3 if _is_scalar(q) else list(q)  # type: ignore[arg-type]
+    _require(len(qs) == 3, "q must be a number or a sequence of 3 entries")
     coeff = PiecewiseCoefficient(tuple(
         Piece(x0, x1, w, qp) for (x0, x1), w, qp in zip(bounds, weights, qs)
     ))

@@ -178,10 +178,7 @@ def _magnus_steps(piece: Piece, lam: Scalar, x_from: float, x_to: float):
     w = piece.w
     lw = lam * w
     real = not isinstance(lw, complex)
-    stops = [(x_from, piece.q_at(x_from))]
-    stops.extend(node for node in piece.q  # type: ignore[union-attr]
-                 if x_from < node[0] < x_to)
-    stops.append((x_to, piece.q_at(x_to)))
+    stops = piece.q_table(x_from, x_to)
     phase = 0.0
     for (xa, qa), (xb, qb) in zip(stops, stops[1:]):
         span = xb - xa

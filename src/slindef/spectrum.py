@@ -26,7 +26,7 @@ import warnings
 from collections import Counter
 from typing import Callable, NamedTuple, Sequence
 
-from .coefficients import ProblemSpec
+from .coefficients import ProblemSpec, _as_finite_float, _as_tol
 from .errors import (ContourError, InvalidProblemError, NumericalFailure,
                      lambda_entry, overflow_failure)
 from .propagator import (_carry, _lambda_fold, _require_real, cs_kernels,
@@ -211,12 +211,10 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None
             if y0 * y1 > 0.0 and z * length * length < _PI2:
                 y0, yp0 = y1, yp1
                 continue
-            if not dd:
-                count += _stretch_zeros(
-                    placed, z, length, y0, d * y0 + yp0, y1, x, snap,
-                    None if out is not None else hi - x)
-            else:
-                _stretch_zeros(placed, z, length, y0, d * y0 + yp0, y1, x, snap)
+            count += _stretch_zeros(
+                placed, z, length, y0, d * y0 + yp0, y1, x, snap,
+                None if out is not None or dd else hi - x)
+            if dd:
                 for i, t in enumerate(placed):
                     y, yp = _carry(piece, lam, y0, yp0, x, t)
                     if yp:
@@ -452,9 +450,7 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
             emit(xc)
 
     min_width = 0.5 * tol  # relative factor applied per cell below
-    stack: list[tuple[float, float, int]] = []
-    for x0, x1 in zip(grid, grid[1:]):
-        stack.append((x0, x1, 0))
+    stack = [(x0, x1, 0) for x0, x1 in zip(grid, grid[1:])]
 
     while stack:
         x0, x1, depth = stack.pop()
@@ -465,17 +461,13 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
         if depth == 0:
             cval(x0), cval(x1)  # as at each new node below: D and count from one walk
         d0, d1 = dval(x0), dval(x1)
-        if d0 == 0.0:
-            emit(x0)
+        if d0 == 0.0 or d1 == 0.0:
+            # a node on a root: emit it and rescan the cell without it
+            emit(x0 if d0 == 0.0 else x1)
             if width > min_width * scale_x:
                 nudge = max(min_width * scale_x, width * 1e-6)
-                stack.append((x0 + nudge, x1, depth + 1))
-            continue
-        if d1 == 0.0:
-            emit(x1)
-            if width > min_width * scale_x:
-                nudge = max(min_width * scale_x, width * 1e-6)
-                stack.append((x0, x1 - nudge, depth + 1))
+                stack.append((x0 + nudge, x1, depth + 1) if d0 == 0.0
+                             else (x0, x1 - nudge, depth + 1))
             continue
         if (d0 < 0.0) != (d1 < 0.0):
             r = _bracket_root(dval, x0, x1, tol)
@@ -573,33 +565,28 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
     densifies the detection grid (the found set must be stable under
     refinement).
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise InvalidProblemError(f"window must be finite with lo < hi, got {window!r}")
-    if not (0.0 < tol < math.inf):
-        raise InvalidProblemError(f"tol must be positive and finite, got {tol!r}")
+    lo = _as_finite_float(window[0], "window start")
+    hi = _as_finite_float(window[1], "window end")
+    if not lo < hi:
+        raise InvalidProblemError(f"window must have lo < hi, got {window!r}")
+    tol = _as_tol(tol)
 
     # workers share one lattice, split on cell boundaries, so the found set
     # (and therefore the output bytes) is independent of the count
     nodes = _detection_grid(spec, lo, hi, refine)
     n_cells = len(nodes) - 1
     threads = _thread_count(n_cells)
+    bounds = [round(j * n_cells / threads) for j in range(threads + 1)]
+    jobs = [(spec, nodes[b0], nodes[b1], tol, nodes[b0:b1 + 1])
+            for b0, b1 in zip(bounds, bounds[1:]) if b1 > b0]
     if threads == 1:
-        raw_roots = _scan_chunk(spec, lo, hi, tol, nodes)
+        parts = [_scan_chunk(*jobs[0])]
     else:
-        bounds = [round(j * n_cells / threads) for j in range(threads + 1)]
-        jobs = []
-        for b0, b1 in zip(bounds, bounds[1:]):
-            if b1 > b0:
-                jobs.append((spec, nodes[b0], nodes[b1], tol,
-                             nodes[b0:b1 + 1]))
         from concurrent.futures import ProcessPoolExecutor
-        raw_roots = []
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_scan_chunk, *zip(*jobs)):
-                raw_roots.extend(part)
+            parts = list(pool.map(_scan_chunk, *zip(*jobs)))
 
-    roots = _merge_roots(raw_roots, tol)
+    roots = _merge_roots([r for part in parts for r in part], tol)
 
     records = []
     notes: list[str] = []
@@ -779,19 +766,18 @@ def find_complex_eigenvalues(spec: ProblemSpec,
     ``{"re": (lo, hi), "im": (lo, hi)}``.
     """
     if isinstance(rect, dict):
-        unknown = set(rect) - {"re", "im"}
-        if unknown or set(rect) != {"re", "im"}:
+        if set(rect) != {"re", "im"}:
             raise InvalidProblemError(
                 f"rectangle mapping must have exactly the keys 're' and 'im', "
                 f"got {sorted(rect)!r}")
         rect = (rect["re"], rect["im"])
     (re_lo, re_hi), (im_lo, im_hi) = rect
-    re_lo, re_hi = float(re_lo), float(re_hi)
-    im_lo, im_hi = float(im_lo), float(im_hi)
+    re_lo, re_hi, im_lo, im_hi = (
+        _as_finite_float(v, f"rectangle {name}") for v, name in
+        ((re_lo, "re_lo"), (re_hi, "re_hi"), (im_lo, "im_lo"), (im_hi, "im_hi")))
     if not (re_lo < re_hi and im_lo < im_hi):
         raise InvalidProblemError(f"rectangle must have positive extent, got {rect!r}")
-    if not (0.0 < tol < math.inf):
-        raise InvalidProblemError(f"tol must be positive and finite, got {tol!r}")
+    tol = _as_tol(tol)
 
     base = _Rect(re_lo, re_hi, im_lo, im_hi)
     if im_lo > 0.0:
@@ -901,11 +887,7 @@ def find_complex_eigenvalues(spec: ProblemSpec,
 # ---------------------------------------------------------------------------
 
 def _fmt(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(value)
+    return "" if value is None else repr(value)
 
 
 def records_to_csv(records: Sequence[EigenRecord]) -> str:

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from slindef import (
@@ -412,6 +414,24 @@ def _pocket_call(fn, name):
 def test_non_finite_parameter_is_invalid_input(name, call, bad):
     with pytest.raises(InvalidProblemError, match=f"^{name} must be finite"):
         call(bad)
+
+
+@given(q0=st.floats(-50.0, -2.5), M=st.floats(0.5, 20.0),
+       q=st.floats(-2.0, 5.0), mu=st.floats(-1.0, 8.0),
+       gap=st.floats(0.0, 80.0), d=st.floats(0.3, 1.0),
+       e=st.floats(0.05, 0.9))
+@example(q0=-10.0, M=2.0, q=0.0, mu=1.0, gap=49.0, d=0.5, e=0.5)  # all valid
+def test_valid_exactly_when_every_trail_row_passed(q0, M, q, mu, gap, d, e):
+    # a positive-weight pocket [0, d] with potential q between negative
+    # weights, as in PROP5_SPEC
+    spec = ProblemSpec(PiecewiseCoefficient((
+        Piece(-1.0, 0.0, -1.0, 0.0), Piece(0.0, d, 1.0, q),
+        Piece(d, 2.0, -1.0, 0.0))))
+    pocket = dict(mu=mu, lambda_star=mu + gap + 1e-3, c=0.0, d=d, e=d + e)
+    certs = [*bound_one_turning_point(q0), certify_application(M, q),
+             certify_prop4(spec, **pocket), certify_prop5(spec, **pocket)]
+    for cert in certs:
+        assert cert.valid == all(r.passed for r in cert.hypothesis_trail)
 
 
 # --------------------------------------------------------------------------

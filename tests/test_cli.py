@@ -451,9 +451,9 @@ def test_scan_edge_band_warns_on_stderr(capsys, classical_file):
 # --------------------------------------------------------------------------
 
 # Each file is the CLI's stdout for its command line, byte for byte, with
-# the fixtures' problems.  certificates._jsonable turns any tuple into a
-# list, so a result record (a named tuple) that reached it would change
-# these silently.
+# the fixtures' problems.  certificates._jsonable renders a named tuple by
+# its fields and any other tuple as a list, so a result record that reached
+# a trail value or a witness would change these silently.
 GOLDEN_RUNS = {
     "classify_one_tp_m10.json": ["classify", "{m10}"],
     "classify_one_tp_p13.json": ["classify", "{p13}"],

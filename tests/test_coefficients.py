@@ -49,6 +49,24 @@ class TestPiece:
         assert lo == pytest.approx(3.0 - 2.0 * 0.9)   # q is 3 - 2x past the knee
         assert hi == pytest.approx(3.0 - 2.0 * 0.6)
 
+    def test_q_table_on_interior_interval(self):
+        # the interpolated ends and the nodes strictly between them; a node
+        # on an end appears once, as that end
+        p = Piece(0.0, 1.0, 1.0, ((0.0, 0.0), (0.25, 4.0), (0.5, 2.0),
+                                  (0.75, 6.0), (1.0, 1.0)))
+        assert p.q_table(0.1, 0.6) == ((0.1, p.q_at(0.1)), (0.25, 4.0),
+                                       (0.5, 2.0), (0.6, p.q_at(0.6)))
+        assert p.q_table(0.25, 0.5) == ((0.25, 4.0), (0.5, 2.0))
+        assert p.q_table(0.0, 1.0) == p.q
+        assert Piece(0.0, 1.0, 1.0, 3.5).q_table(0.2, 0.7) == ((0.2, 3.5),
+                                                               (0.7, 3.5))
+
+    @pytest.mark.parametrize("q", [np.float32(2.0), np.int64(2)])
+    def test_numpy_scalar_constant_q(self, q):
+        p = Piece(0.0, 1.0, 1.0, q)
+        assert p == Piece(0.0, 1.0, 1.0, 2.0)
+        assert p.constant == (1.0, 2.0, 0.0, 1.0)
+
     @pytest.mark.parametrize("bad", [
         dict(x0=1.0, x1=0.0, w=1.0, q=0.0),        # reversed interval
         dict(x0=0.0, x1=0.0, w=1.0, q=0.0),        # empty interval
@@ -248,6 +266,8 @@ class TestBuilders:
         spec3 = application_problem([0.0, -1.0, 0.5])
         assert [p.q_at(p.x0) for p in spec3.pieces] == [0.0, -1.0, 0.5]
         assert application_problem(2) == application_problem(2.0)
+        assert application_problem(np.float32(1.0)) == application_problem(1.0)
+        assert application_problem(np.int64(1)) == application_problem(1.0)
         with pytest.raises(InvalidProblemError, match="constant q is not a number"):
             application_problem(True)
 

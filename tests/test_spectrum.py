@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -21,14 +22,17 @@ from slindef import (
     PiecewiseCoefficient,
     ProblemSpec,
     application_problem,
+    certify_prop3,
     characteristic,
     count_zeros,
+    disconjugate_on,
     find_complex_eigenvalues,
     find_real_eigenvalues,
     interior_zeros,
     normalize_domain,
     one_turning_point,
     records_to_csv,
+    richardson_numbers,
     scan_to_csv,
     scan_to_json,
     two_turning_point,
@@ -1120,3 +1124,54 @@ class TestThreadCount:
         assert _thread_count(3) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _thread_count(100) == 1
+
+
+# --------------------------------------------------------------------------
+# Caller parameters: one check each, InvalidProblemError naming the parameter
+# --------------------------------------------------------------------------
+
+TOL_ENTRY_POINTS = {
+    "find_real_eigenvalues":
+        lambda tol: find_real_eigenvalues(one_turning_point(-10.0), (-5, 5), tol),
+    "find_complex_eigenvalues":
+        lambda tol: find_complex_eigenvalues(one_turning_point(-10.0),
+                                             ((-5, 5), (0, 5)), tol),
+    "richardson_numbers":
+        lambda tol: richardson_numbers(one_turning_point(-10.0), (-60, 60), tol),
+    "certify_prop3":
+        lambda tol: certify_prop3(one_turning_point(-10.0), 1.0, [0.0], tol),
+}
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("1e-9", "tol is not a number: '1e-9'"),
+    (None, "tol is not a number: None"),
+    (True, "tol is not a number: True"),
+    (0.0, "tol must be positive and finite, got 0.0"),
+    (math.inf, "tol must be finite, got inf"),
+])
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_tol_is_checked_once_for_every_entry_point(entry, tol, message):
+    with pytest.raises(InvalidProblemError, match=f"^{re.escape(message)}$"):
+        TOL_ENTRY_POINTS[entry](tol)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda spec: find_real_eigenvalues(spec, ("-5", "5")),
+                 "window start is not a number: '-5'", id="string window"),
+    pytest.param(lambda spec: find_real_eigenvalues(spec, (False, True)),
+                 "window start is not a number: False", id="bool window"),
+    pytest.param(lambda spec: find_real_eigenvalues(spec, (-5.0, math.inf)),
+                 "window end must be finite, got inf", id="infinite window"),
+    pytest.param(lambda spec: find_complex_eigenvalues(
+        spec, ((-5, 5), (0, math.inf))),
+        "rectangle im_hi must be finite, got inf", id="infinite rectangle"),
+    pytest.param(lambda spec: find_complex_eigenvalues(
+        spec, (("-5", 5), (0, 5))),
+        "rectangle re_lo is not a number: '-5'", id="string rectangle"),
+    pytest.param(lambda spec: disconjugate_on(spec, 0.0, ("-1", "0")),
+                 "interval start is not a number: '-1'", id="string interval"),
+])
+def test_range_ends_are_finite_numbers(call, message):
+    with pytest.raises(InvalidProblemError, match=f"^{re.escape(message)}$"):
+        call(one_turning_point(-10.0))
