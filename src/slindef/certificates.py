@@ -17,9 +17,9 @@ import math
 from typing import NamedTuple, Sequence
 
 from .coefficients import (Piece, PiecewiseCoefficient, ProblemSpec,
-                           _as_finite_float, _as_tol, application_problem)
-from .errors import (HypothesisViolation, InvalidProblemError,
-                     NumericalFailure, lambda_entry)
+                           _as_finite_float, _as_pair, _as_sequence, _as_tol,
+                           application_problem, lambda_entry)
+from .errors import HypothesisViolation, InvalidProblemError, NumericalFailure
 from .propagator import _carry, weighted_norm
 from .spectrum import (_bracket_root, _newton_polish, _zero_walk,
                        characteristic_scaled, count_zeros, interior_zeros)
@@ -286,8 +286,7 @@ def disconjugate_on(obj: ProblemSpec | PiecewiseCoefficient, mu: float,
     the result and the method is labeled ``"comparison"``.
     """
     coeff = _coeff_of(obj)
-    c = _as_finite_float(interval[0], "interval start")
-    d = _as_finite_float(interval[1], "interval end")
+    c, d = _as_pair(interval, "interval")
     if not (coeff.a <= c < d <= coeff.b):
         raise InvalidProblemError(
             f"interval {interval!r} is not inside [{coeff.a!r}, {coeff.b!r}]")
@@ -348,7 +347,7 @@ def certify_prop3(spec: ProblemSpec, lam: float, mus: Sequence[float],
     violates the hypotheses.
     """
     lam = _as_finite_float(lam, "lambda")
-    mus = [_as_finite_float(m, "mu") for m in mus]
+    mus = [_as_finite_float(m, "mu") for m in _as_sequence(mus, "mus")]
     tol = _as_tol(tol)
     d, scale = characteristic_scaled(spec, lam)
     if abs(d) > tol * scale:

@@ -13,6 +13,7 @@ The ``SL_THREADS`` environment variable sets the scan worker count
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -24,72 +25,55 @@ from . import spectrum as spec_mod
 from .errors import (HypothesisViolation, InvalidProblemError, NumericalFailure)
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _warn(message: object) -> None:
     print(f"WARNING: {message}", file=sys.stderr)
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> str:
     spec = coeffs.load_problem(args.problem)
     report = certs.classify_definiteness(spec)
-    _write(args, json.dumps(report.to_dict(), indent=2) + "\n")
-    return 0
+    return json.dumps(report.to_dict(), indent=2) + "\n"
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> str:
     spec = coeffs.load_problem(args.problem)
     result = spec_mod.find_real_eigenvalues(spec, tuple(args.window), args.tol)
     for w in result.warnings:
         _warn(w)
     if args.format == "csv":
-        _write(args, spec_mod.scan_to_csv(result))
-    else:
-        _write(args, spec_mod.scan_to_json(result))
-    return 0
+        return spec_mod.scan_to_csv(result)
+    return spec_mod.scan_to_json(result)
 
 
-def _cmd_complex_scan(args: argparse.Namespace) -> int:
+def _cmd_complex_scan(args: argparse.Namespace) -> str:
     spec = coeffs.load_problem(args.problem)
     records = spec_mod.find_complex_eigenvalues(
         spec, (tuple(args.re), tuple(args.im)), args.tol)
     if args.format == "csv":
-        _write(args, spec_mod.records_to_csv(records))
-    else:
-        payload = {
-            "rect": {"re": list(args.re), "im": list(args.im)},
-            "tol": args.tol,
-            "eigenvalues": [r.to_dict() for r in records],
-        }
-        _write(args, json.dumps(payload, indent=2) + "\n")
-    return 0
+        return spec_mod.records_to_csv(records)
+    payload = {
+        "rect": {"re": list(args.re), "im": list(args.im)},
+        "tol": args.tol,
+        "eigenvalues": [r.to_dict() for r in records],
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_richardson(args: argparse.Namespace) -> int:
+def _cmd_richardson(args: argparse.Namespace) -> str:
     spec = coeffs.load_problem(args.problem)
     report = rich.richardson_numbers(spec, tuple(args.window), args.tol)
     for w in report.scan.warnings:
         _warn(w)
     if args.format == "csv":
-        _write(args, rich.report_to_csv(spec, report, with_drift=args.drift))
-    else:
-        _write(args, rich.report_to_json(report))
-    return 0
+        return rich.report_to_csv(spec, report, with_drift=args.drift)
+    return rich.report_to_json(report)
 
 
-def _cmd_drift(args: argparse.Namespace) -> int:
+def _cmd_drift(args: argparse.Namespace) -> str:
     spec = coeffs.load_problem(args.problem)
     value = rich.zero_drift(spec, args.lam, args.zero_index)
-    _write(args, json.dumps({"lambda": args.lam,
-                             "zero_index": args.zero_index,
-                             "drift": value}, indent=2) + "\n")
-    return 0
+    return json.dumps({"lambda": args.lam, "zero_index": args.zero_index,
+                       "drift": value}, indent=2) + "\n"
 
 
 def _parse_mus(raw: str) -> list[float]:
@@ -99,7 +83,7 @@ def _parse_mus(raw: str) -> list[float]:
         raise InvalidProblemError(f"cannot parse mu list {raw!r}: {exc}") from exc
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _cmd_certify(args: argparse.Namespace) -> str:
     kind = args.kind
     if kind == "one_tp":
         if args.q0 is None:
@@ -107,14 +91,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         upper, lower = certs.bound_one_turning_point(args.q0)
         payload = {"upper": certs.certificate_to_dict(upper),
                    "lower": certs.certificate_to_dict(lower)}
-        _write(args, json.dumps(payload, indent=2) + "\n")
-        return 0
+        return json.dumps(payload, indent=2) + "\n"
     if kind == "application":
         if args.m is None:
             raise InvalidProblemError("certify --kind application needs --m")
-        cert = certs.certify_application(args.m, args.q_const)
-        _write(args, certs.certificate_to_json(cert))
-        return 0
+        return certs.certificate_to_json(
+            certs.certify_application(args.m, args.q_const))
     if args.problem is None:
         raise InvalidProblemError(f"certify --kind {kind} needs a problem file")
     spec = coeffs.load_problem(args.problem)
@@ -138,8 +120,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         cert = fn(spec, mus[0], args.lambda_star, args.c, args.d, args.e)
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidProblemError(f"unknown certificate kind {kind!r}")
-    _write(args, certs.certificate_to_json(cert))
-    return 0
+    return certs.certificate_to_json(cert)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +213,11 @@ def main(argv: list[str] | None = None) -> int:
         # as the scan's do; the filters are restored on exit
         with warnings.catch_warnings(record=True) as caught:
             try:
-                return args.func(args)
+                text = args.func(args)
+                with (open(args.out, "w", encoding="utf-8") if args.out
+                      else contextlib.nullcontext(sys.stdout)) as out:
+                    out.write(text)
+                return 0
             finally:
                 for w in caught:
                     _warn(w.message)

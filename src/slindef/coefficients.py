@@ -22,11 +22,15 @@ Conventions:
 
 from __future__ import annotations
 
+import bisect
+import cmath
+import functools
 import json
 import math
-from typing import Iterable, Union
+from collections.abc import Iterable, Mapping, Set
+from typing import Union
 
-from .errors import InvalidProblemError
+from .errors import InvalidProblemError, SlindefError, overflow_failure
 
 QTable = tuple[tuple[float, float], ...]
 QSpec = Union[float, QTable]
@@ -71,9 +75,64 @@ def _as_tol(tol: object) -> float:
 
 
 def _is_scalar(q: object) -> bool:
-    """Whether ``q`` is one number, not a table: a ``str``, ``bytes`` or
-    anything not iterable, for :func:`_as_finite_float` to check."""
-    return isinstance(q, (str, bytes)) or not isinstance(q, Iterable)
+    """Whether ``q`` is one number, not a table: a ``str``, ``bytes``, a 0-d
+    array or anything not iterable, for :func:`_as_finite_float` to check."""
+    return (not isinstance(q, Iterable) or isinstance(q, (str, bytes))
+            or getattr(q, "ndim", None) == 0)
+
+
+def _as_sequence(value: object, what: str, length: int | None = None) -> tuple:
+    """A caller's sequence as a tuple, of ``length`` entries if given: an
+    iterable that is not one number, a string, a mapping or a set."""
+    if not (_is_scalar(value) or isinstance(value, (Mapping, Set))):
+        entries = tuple(value)
+        if length in (None, len(entries)):
+            return entries
+    size = "" if length is None else f" of {length}"
+    raise InvalidProblemError(f"{what} must be a sequence{size}, got {value!r}")
+
+
+def _as_pair(value: object, what: str, lo: str = "start",
+             hi: str = "end") -> tuple[float, float]:
+    """A caller's pair of finite numbers, named ``what lo`` and ``what hi``."""
+    first, second = _as_sequence(value, f"{what} ({lo}, {hi})", 2)
+    return (_as_finite_float(first, f"{what} {lo}"),
+            _as_finite_float(second, f"{what} {hi}"))
+
+
+def _require_real(lam: complex | float, what: str) -> float:
+    if isinstance(lam, complex):
+        _require(lam.imag == 0.0, f"{what} requires a real lambda")
+        return lam.real
+    return float(lam)
+
+
+def lambda_entry(fn):
+    """Guard a public ``fn(spec, lam, ...)``: a ``lam`` that is not one number
+    (a ``bool``, string, ``None`` or container), NaN or infinite is an
+    :class:`InvalidProblemError`, and float overflow inside (``cosh`` past
+    ``e^709``, a NaN reaching ``int``) a :class:`NumericalFailure`."""
+
+    @functools.wraps(fn)
+    def guarded(spec, lam, *args, **kwargs):
+        # cmath rejects str, None and lists, not bools or 1-element arrays;
+        # every call pays these tests, so no message is built unless one fails
+        number = type(lam) is not bool and getattr(lam, "ndim", 0) == 0
+        try:
+            finite = number and cmath.isfinite(lam)
+        except TypeError:
+            number = finite = False
+        if not finite:
+            raise InvalidProblemError(f"lambda must be finite, got {lam!r}"
+                                      if number else f"lambda is not a number: {lam!r}")
+        try:
+            return fn(spec, lam, *args, **kwargs)
+        except SlindefError:
+            raise
+        except (OverflowError, ValueError) as exc:
+            raise overflow_failure(lam) from exc
+
+    return guarded
 
 
 def _normalize_q(q: object, x0: float, x1: float) -> QSpec:
@@ -166,14 +225,8 @@ class Piece(_Value):
         if x >= nodes[-1][0]:
             return nodes[-1][1]
         # Linear interpolation between the bracketing nodes.
-        lo, hi = 0, len(nodes) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if nodes[mid][0] <= x:
-                lo = mid
-            else:
-                hi = mid
-        (xa, qa), (xb, qb) = nodes[lo], nodes[hi]
+        hi = bisect.bisect_right(nodes, x, key=lambda node: node[0])
+        (xa, qa), (xb, qb) = nodes[hi - 1], nodes[hi]
         t = (x - xa) / (xb - xa)
         return qa + t * (qb - qa)
 
@@ -224,16 +277,7 @@ class PiecewiseCoefficient(_Value):
         """The piece governing ``x``, using the right-limit convention."""
         _require(self.a <= x <= self.b,
                  f"x={x!r} outside the problem interval [{self.a!r}, {self.b!r}]")
-        if x == self.b:
-            return self.pieces[-1]
-        lo, hi = 0, len(self.pieces) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.pieces[mid].x0 <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.pieces[lo]
+        return self.pieces[bisect.bisect_right(self.pieces, x, key=lambda p: p.x0) - 1]
 
     def evaluate(self, x: float) -> tuple[float, float]:
         """``(w(x), q(x))`` with right limits at interior breakpoints."""
@@ -449,11 +493,7 @@ def problem_from_dict(data: object) -> ProblemSpec:
         pieces.append(Piece(row["x0"], row["x1"], row["w"], _q_from_json(row["q"])))
     coeff = PiecewiseCoefficient(tuple(pieces))
     if "interval" in data:
-        iv = data["interval"]
-        _require(isinstance(iv, list) and len(iv) == 2,
-                 "'interval' must be a 2-element list")
-        lo = _as_finite_float(iv[0], "interval start")
-        hi = _as_finite_float(iv[1], "interval end")
+        lo, hi = _as_pair(data["interval"], "interval")
         _require(lo == coeff.a and hi == coeff.b,
                  f"'interval' [{lo!r}, {hi!r}] does not match the piece tiling "
                  f"[{coeff.a!r}, {coeff.b!r}]")

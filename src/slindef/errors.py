@@ -2,15 +2,12 @@
 
 The command-line interface maps these onto process exit codes:
 ``InvalidProblemError`` -> 2, ``NumericalFailure`` (and subclasses) -> 3,
-``HypothesisViolation`` -> 4.  :func:`lambda_entry` guards the public
-functions that take a spectral value, so bad or overflowing values end in
-one of these instead of a bare Python exception.
+``HypothesisViolation`` -> 4.  :func:`slindef.coefficients.lambda_entry`
+guards the public functions that take a spectral value, so bad or
+overflowing values end in one of these instead of a bare Python exception.
 """
 
 from __future__ import annotations
-
-import cmath
-import functools
 
 
 class SlindefError(Exception):
@@ -39,25 +36,6 @@ class DriftUndefined(NumericalFailure):
 
 class HypothesisViolation(SlindefError):
     """Inputs fail the hypotheses required by a bound certificate."""
-
-
-def lambda_entry(fn):
-    """Guard a public ``fn(spec, lam, ...)``: a NaN or infinite ``lam`` is
-    an :class:`InvalidProblemError`, and float overflow inside (``cosh``
-    past ``e^709``, a NaN reaching ``int``) a :class:`NumericalFailure`."""
-
-    @functools.wraps(fn)
-    def guarded(spec, lam, *args, **kwargs):
-        if not cmath.isfinite(lam):
-            raise InvalidProblemError(f"lambda must be finite, got {lam!r}")
-        try:
-            return fn(spec, lam, *args, **kwargs)
-        except SlindefError:
-            raise
-        except (OverflowError, ValueError) as exc:
-            raise overflow_failure(lam) from exc
-
-    return guarded
 
 
 def overflow_failure(lam) -> NumericalFailure:

@@ -43,9 +43,9 @@ import cmath
 import math
 from typing import NamedTuple, Sequence
 
-from .coefficients import Piece, ProblemSpec
-from .errors import (InvalidProblemError, NumericalFailure, lambda_entry,
-                     overflow_failure)
+from .coefficients import (Piece, ProblemSpec, _as_finite_float, _as_sequence,
+                           _require_real, lambda_entry)
+from .errors import InvalidProblemError, NumericalFailure, overflow_failure
 
 __all__ = [
     "StateVector",
@@ -249,6 +249,7 @@ def solution_at(spec: ProblemSpec, lam: Scalar,
     """Solution states at the requested locations (any order, must lie in
     ``[a, b]``), each the ``(y, y')`` of one :func:`_lambda_fold` to its
     point; a state that overflows raises :class:`NumericalFailure`."""
+    xs = [_as_finite_float(x, "x") for x in _as_sequence(xs, "xs")]
     for x in xs:
         spec.coeff.piece_at(x)
     states = [StateVector(x, *_lambda_fold(spec, lam, x)[:2]) for x in xs]
@@ -260,14 +261,6 @@ def solution_at(spec: ProblemSpec, lam: Scalar,
 # ---------------------------------------------------------------------------
 # Weighted norms
 # ---------------------------------------------------------------------------
-
-def _require_real(lam: complex | float, what: str) -> float:
-    if isinstance(lam, complex):
-        if lam.imag != 0.0:
-            raise InvalidProblemError(f"{what} requires a real lambda")
-        return lam.real
-    return float(lam)
-
 
 def _ds_dz(c: Scalar, s: Scalar, z: Scalar, t: float) -> Scalar:
     """``dS(z, t)/dz = (t C - S) / (2 z)``, by its power series in
@@ -291,6 +284,7 @@ def weighted_partial(spec: ProblemSpec, lam: float, x_hi: float) -> float:
     """``int_a^{x_hi} w y^2 dx`` for the left solution at real ``lambda``,
     the norm of :func:`_lambda_fold`."""
     lam = _require_real(lam, "weighted_partial")
+    x_hi = _as_finite_float(x_hi, "x_hi")
     if not (spec.a <= x_hi <= spec.b):
         raise InvalidProblemError(
             f"x_hi={x_hi!r} outside the interval [{spec.a!r}, {spec.b!r}]")

@@ -20,10 +20,9 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .coefficients import ProblemSpec
+from .coefficients import ProblemSpec, _require_real, lambda_entry
 from .errors import DriftUndefined, EmptyWindowError, InvalidProblemError
-from .propagator import (_lambda_fold, _require_real, weighted_norm,
-                         weighted_partial)
+from .propagator import _lambda_fold, weighted_norm, weighted_partial
 from .spectrum import (ScanResult, find_real_eigenvalues, interior_zeros,
                        records_to_csv)
 
@@ -86,6 +85,7 @@ def richardson_numbers(spec: ProblemSpec, window: tuple[float, float],
 # Zero drift
 # ---------------------------------------------------------------------------
 
+@lambda_entry
 def zero_drift(spec: ProblemSpec, lam: float, zero_index: int) -> float:
     """Derivative ``d x_k / d lambda`` of the ``k``-th interior zero
     (1-based) of the left solution: ``-dy/dlambda / y'`` at the zero, both
@@ -96,7 +96,7 @@ def zero_drift(spec: ProblemSpec, lam: float, zero_index: int) -> float:
     zero does not exist or the slope vanishes there.
     """
     lam = _require_real(lam, "zero_drift")
-    if not isinstance(zero_index, int) or zero_index < 1:
+    if type(zero_index) is bool or not hasattr(zero_index, "__index__") or zero_index < 1:
         raise InvalidProblemError(
             f"zero_index must be a positive integer, got {zero_index!r}")
     zs = interior_zeros(spec, lam)

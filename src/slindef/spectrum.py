@@ -26,11 +26,11 @@ import warnings
 from collections import Counter
 from typing import Callable, NamedTuple, Sequence
 
-from .coefficients import ProblemSpec, _as_finite_float, _as_tol
+from .coefficients import (ProblemSpec, _as_pair, _as_sequence, _as_tol,
+                           _require_real, lambda_entry)
 from .errors import (ContourError, InvalidProblemError, NumericalFailure,
-                     lambda_entry, overflow_failure)
-from .propagator import (_carry, _lambda_fold, _require_real, cs_kernels,
-                         stretches)
+                     overflow_failure)
+from .propagator import _carry, _lambda_fold, cs_kernels, stretches
 
 __all__ = [
     "EigenRecord",
@@ -173,7 +173,6 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None
     the band is the dedup resolution ``snap = 1e-12 * (b - a)``, which also
     drops a zero the last stretch puts at ``b``.
     """
-    lam = _require_real(lam, "interior zero counting")
     pieces = spec.coeff.pieces
     a, b = pieces[0].x0, pieces[-1].x1
     snap = 1e-12 * (b - a)
@@ -239,7 +238,7 @@ def interior_zeros(spec: ProblemSpec, lam: float) -> list[float]:
     """Locations of zeros of the left solution strictly inside ``(a, b)``,
     in increasing order; ``lam`` must be real.  See :func:`_zero_walk`."""
     out: list[float] = []
-    _zero_walk(spec, lam, out)
+    _zero_walk(spec, _require_real(lam, "interior zero counting"), out)
     return out
 
 
@@ -247,7 +246,7 @@ def interior_zeros(spec: ProblemSpec, lam: float) -> list[float]:
 def count_zeros(spec: ProblemSpec, lam: float) -> int:
     """Number of interior zeros of the left solution at real ``lam``,
     ``len(interior_zeros(spec, lam))`` without the list."""
-    return _zero_walk(spec, lam, None)[0]
+    return _zero_walk(spec, _require_real(lam, "interior zero counting"), None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +564,7 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
     densifies the detection grid (the found set must be stable under
     refinement).
     """
-    lo = _as_finite_float(window[0], "window start")
-    hi = _as_finite_float(window[1], "window end")
+    lo, hi = _as_pair(window, "window")
     if not lo < hi:
         raise InvalidProblemError(f"window must have lo < hi, got {window!r}")
     tol = _as_tol(tol)
@@ -771,10 +769,9 @@ def find_complex_eigenvalues(spec: ProblemSpec,
                 f"rectangle mapping must have exactly the keys 're' and 'im', "
                 f"got {sorted(rect)!r}")
         rect = (rect["re"], rect["im"])
-    (re_lo, re_hi), (im_lo, im_hi) = rect
-    re_lo, re_hi, im_lo, im_hi = (
-        _as_finite_float(v, f"rectangle {name}") for v, name in
-        ((re_lo, "re_lo"), (re_hi, "re_hi"), (im_lo, "im_lo"), (im_hi, "im_hi")))
+    re, im = _as_sequence(rect, "rectangle", 2)
+    re_lo, re_hi = _as_pair(re, "rectangle", "re_lo", "re_hi")
+    im_lo, im_hi = _as_pair(im, "rectangle", "im_lo", "im_hi")
     if not (re_lo < re_hi and im_lo < im_hi):
         raise InvalidProblemError(f"rectangle must have positive extent, got {rect!r}")
     tol = _as_tol(tol)

@@ -89,6 +89,11 @@ def test_scan_out_file(capsys, one_tp_file, tmp_path):
     assert rc == 0
     assert out == ""
     assert dest.read_text() == (GOLDEN / "one_tp_m10_scan.csv").read_text()
+    # an --out that cannot be opened is invalid input, and nothing is printed
+    rc, out, err = run(capsys, "scan", one_tp_file, "--window", "-60", "60",
+                       "--out", str(tmp_path / "missing" / "scan.csv"))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_scan_missing_file_exit_2(capsys, tmp_path):

@@ -61,7 +61,7 @@ class TestPiece:
         assert Piece(0.0, 1.0, 1.0, 3.5).q_table(0.2, 0.7) == ((0.2, 3.5),
                                                                (0.7, 3.5))
 
-    @pytest.mark.parametrize("q", [np.float32(2.0), np.int64(2)])
+    @pytest.mark.parametrize("q", [np.float32(2.0), np.int64(2), np.array(2.0)])
     def test_numpy_scalar_constant_q(self, q):
         p = Piece(0.0, 1.0, 1.0, q)
         assert p == Piece(0.0, 1.0, 1.0, 2.0)

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -260,7 +261,7 @@ class TestZeroDrift:
         # its zeros at n pi / k, k = sqrt(lambda), so dx_n/dlambda is
         # -n pi / (2 lambda^{3/2})
         lam = (3.0 * math.pi) ** 2
-        for idx in (1, 2):
+        for idx in (1, 2, np.int64(2)):
             want = -idx * math.pi / (2.0 * lam ** 1.5)
             assert zero_drift(classical_spec, lam, idx) == pytest.approx(
                 want, rel=1e-12)

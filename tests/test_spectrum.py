@@ -9,6 +9,7 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,7 @@ from slindef import (
     scan_to_json,
     two_turning_point,
     weighted_norm,
+    zero_drift,
 )
 from slindef import propagator, spectrum
 from slindef.propagator import _ds_dz, _lambda_fold, solution_at, stretches
@@ -302,6 +304,9 @@ class TestZeroCounting:
         for n in range(1, 6):
             zeros = interior_zeros(classical_spec, (n * math.pi) ** 2)
             assert len(zeros) == n - 1
+            # a complex lambda on the real axis is read as real
+            assert count_zeros(classical_spec,
+                               complex((n * math.pi) ** 2, 0.0)) == n - 1
             for k, z in enumerate(zeros, start=1):
                 assert z == pytest.approx(k / n, abs=1e-9)
 
@@ -573,6 +578,9 @@ class TestRealScan:
         assert [r.re_lambda for r in res.records] == pytest.approx(
             ONE_TP_M10_EIGS, rel=1e-9)
         assert sorted(r.zeros_in_ab for r in res.records) == [0, 0, 1, 1]
+        # any sequence of two numbers is a window
+        for window in ([-60.0, 60.0], np.array([-60.0, 60.0])):
+            assert find_real_eigenvalues(one_tp_m10, window, 1e-9) == res
         assert res.n_r_empirical == 0
         assert res.n_h_empirical == 0
 
@@ -1005,10 +1013,13 @@ class TestLambdaRange:
         weighted_norm,
         lambda spec, lam: weighted_partial(spec, lam, 0.5),
         lambda spec, lam: solution_at(spec, lam, [0.5]),
+        lambda spec, lam: zero_drift(spec, lam, 1),
     )
 
+    # not a number (a string, None, a bool, a container) or not finite
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf,
-                                     complex(1.0, math.nan)])
+                                     complex(1.0, math.nan),
+                                     "17", None, True, [1.0]])
     def test_non_finite_lambda_is_invalid(self, one_tp_m10, lam):
         for fn in self.ENTRY_POINTS:
             with pytest.raises(InvalidProblemError):
@@ -1171,6 +1182,57 @@ def test_tol_is_checked_once_for_every_entry_point(entry, tol, message):
         "rectangle re_lo is not a number: '-5'", id="string rectangle"),
     pytest.param(lambda spec: disconjugate_on(spec, 0.0, ("-1", "0")),
                  "interval start is not a number: '-1'", id="string interval"),
+    # each range is a sequence of exactly two numbers
+    pytest.param(lambda spec: find_real_eigenvalues(spec, (1,)),
+                 "window (start, end) must be a sequence of 2, got (1,)",
+                 id="short window"),
+    pytest.param(lambda spec: find_real_eigenvalues(spec, (-5, 5, 7)),
+                 "window (start, end) must be a sequence of 2, got (-5, 5, 7)",
+                 id="long window"),
+    pytest.param(lambda spec: find_real_eigenvalues(spec, 5),
+                 "window (start, end) must be a sequence of 2, got 5",
+                 id="number window"),
+    pytest.param(lambda spec: find_real_eigenvalues(spec, {"lo": -5, "hi": 5}),
+                 "window (start, end) must be a sequence of 2, got "
+                 "{'lo': -5, 'hi': 5}", id="mapping window"),
+    pytest.param(lambda spec: find_real_eigenvalues(spec, {-5, 5}),
+                 "window (start, end) must be a sequence of 2, got {-5, 5}",
+                 id="set window"),
+    pytest.param(lambda spec: richardson_numbers(spec, (1,)),
+                 "window (start, end) must be a sequence of 2, got (1,)",
+                 id="short richardson window"),
+    pytest.param(lambda spec: find_complex_eigenvalues(
+        spec, ((0, 1, 2), (0, 1))),
+        "rectangle (re_lo, re_hi) must be a sequence of 2, got (0, 1, 2)",
+        id="long rectangle side"),
+    pytest.param(lambda spec: find_complex_eigenvalues(spec, ((0, 1),)),
+                 "rectangle must be a sequence of 2, got ((0, 1),)",
+                 id="one-sided rectangle"),
+    pytest.param(lambda spec: find_complex_eigenvalues(
+        spec, {"re": (0, 1), "im": 5}),
+        "rectangle (im_lo, im_hi) must be a sequence of 2, got 5",
+        id="number rectangle side"),
+    pytest.param(lambda spec: disconjugate_on(spec, 0.0, (-1,)),
+                 "interval (start, end) must be a sequence of 2, got (-1,)",
+                 id="short interval"),
+    pytest.param(lambda spec: disconjugate_on(spec, 0.0, (-1, 0, 1)),
+                 "interval (start, end) must be a sequence of 2, got (-1, 0, 1)",
+                 id="long interval"),
+    pytest.param(lambda spec: disconjugate_on(spec, 0.0, {"a": 1, "b": 2}),
+                 "interval (start, end) must be a sequence of 2, got "
+                 "{'a': 1, 'b': 2}", id="mapping interval"),
+    # mus and xs are sequences of numbers, x_hi a number, zero_index an int
+    pytest.param(lambda spec: certify_prop3(spec, 17.118939070171816, 0.0),
+                 "mus must be a sequence, got 0.0", id="number mus"),
+    pytest.param(lambda spec: solution_at(spec, 17.0, 5),
+                 "xs must be a sequence, got 5", id="number xs"),
+    pytest.param(lambda spec: solution_at(spec, 17.0, ["0.5"]),
+                 "x is not a number: '0.5'", id="string x"),
+    pytest.param(lambda spec: weighted_partial(spec, 17.0, "0.5"),
+                 "x_hi is not a number: '0.5'", id="string x_hi"),
+    pytest.param(lambda spec: zero_drift(spec, 17.118939070171816, True),
+                 "zero_index must be a positive integer, got True",
+                 id="bool zero_index"),
 ])
 def test_range_ends_are_finite_numbers(call, message):
     with pytest.raises(InvalidProblemError, match=f"^{re.escape(message)}$"):
