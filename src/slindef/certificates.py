@@ -17,8 +17,9 @@ import math
 from typing import NamedTuple, Sequence
 
 from .coefficients import (Piece, PiecewiseCoefficient, ProblemSpec,
-                           _as_finite_float, _as_pair, _as_sequence, _as_tol,
-                           application_problem, lambda_entry)
+                           _as_finite_float, _as_pair, _as_problem,
+                           _as_sequence, _as_tol, application_problem,
+                           lambda_entry)
 from .errors import HypothesisViolation, InvalidProblemError, NumericalFailure
 from .propagator import _carry, weighted_norm
 from .spectrum import (_bracket_root, _newton_polish, _zero_walk,
@@ -224,15 +225,6 @@ class DisconjugacyWitness(NamedTuple):
     method: str
 
 
-def _coeff_of(obj: ProblemSpec | PiecewiseCoefficient) -> PiecewiseCoefficient:
-    if isinstance(obj, ProblemSpec):
-        return obj.coeff
-    if isinstance(obj, PiecewiseCoefficient):
-        return obj
-    raise InvalidProblemError(
-        f"expected a problem or coefficient, got {type(obj).__name__}")
-
-
 def _clip_pieces(coeff: PiecewiseCoefficient, x_from: float,
                  x_to: float) -> list[Piece]:
     """Pieces restricted to ``[x_from, x_to]``, extending the first piece's
@@ -285,7 +277,7 @@ def disconjugate_on(obj: ProblemSpec | PiecewiseCoefficient, mu: float,
     ``mu w + q <= 0`` holds throughout, the sign condition already implies
     the result and the method is labeled ``"comparison"``.
     """
-    coeff = _coeff_of(obj)
+    coeff = obj if isinstance(obj, PiecewiseCoefficient) else _as_problem(obj).coeff
     c, d = _as_pair(interval, "interval")
     if not (coeff.a <= c < d <= coeff.b):
         raise InvalidProblemError(
@@ -383,9 +375,10 @@ def certify_prop3(spec: ProblemSpec, lam: float, mus: Sequence[float],
 def _pocket_args(spec: ProblemSpec, mu: float, lambda_star: float, c: float,
                  d: float, e: float) -> tuple[float, float]:
     """``mu`` and ``lambda_star`` as floats, after the pocket certificates'
-    shared preconditions: every parameter finite, ordering inside the
+    shared preconditions: a problem, every parameter finite, ordering inside the
     interval, positive weight throughout ``(c, d)``, negative weight
     throughout ``(e, b)``, and ``lambda_star > mu``."""
+    _as_problem(spec)
     mu, lambda_star, _, _, _ = (
         _as_finite_float(v, name) for v, name in
         ((mu, "mu"), (lambda_star, "lambda_star"), (c, "c"), (d, "d"), (e, "e")))
@@ -609,7 +602,7 @@ def classify_definiteness(spec: ProblemSpec) -> DefinitenessReport:
     """Classify the problem as orthogonal (one-signed weight), polar
     (indefinite weight but positive energy form, hence real spectrum), or
     nondefinite (both forms indefinite), with explicit numeric witnesses."""
-    signs = set(spec.coeff.sign_pattern())
+    signs = set(_as_problem(spec).coeff.sign_pattern())
     orthogonal = len(signs) == 1
     specL = _unit_weight_spec(spec)
     lambda0 = _lowest_unit_weight_eigenvalue(specL)

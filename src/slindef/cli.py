@@ -105,7 +105,7 @@ def _cmd_certify(args: argparse.Namespace) -> str:
             raise InvalidProblemError("certify --kind prop3 needs --lam and --mu")
         cert = certs.certify_prop3(spec, args.lam, _parse_mus(args.mu),
                                    tol=args.tol)
-    elif kind in ("prop4", "prop5"):
+    else:
         needed = {"--mu": args.mu, "--lambda-star": args.lambda_star,
                   "--c": args.c, "--d": args.d, "--e": args.e}
         missing = [k for k, v in needed.items() if v is None]
@@ -118,8 +118,6 @@ def _cmd_certify(args: argparse.Namespace) -> str:
                 f"certify --kind {kind} needs one --mu value, got {args.mu!r}")
         fn = certs.certify_prop4 if kind == "prop4" else certs.certify_prop5
         cert = fn(spec, mus[0], args.lambda_star, args.c, args.d, args.e)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidProblemError(f"unknown certificate kind {kind!r}")
     return certs.certificate_to_json(cert)
 
 
@@ -221,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             finally:
                 for w in caught:
                     _warn(w.message)
-    except InvalidProblemError as exc:
+    except (InvalidProblemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HypothesisViolation as exc:
@@ -230,9 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -100,6 +100,19 @@ def _as_pair(value: object, what: str, lo: str = "start",
             _as_finite_float(second, f"{what} {hi}"))
 
 
+def _as_count(value: object, what: str) -> int:
+    """A caller's positive ``int`` or numpy integer, never a ``bool``."""
+    _require(type(value) is not bool and hasattr(value, "__index__") and value >= 1,
+             f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _as_problem(spec: object) -> ProblemSpec:
+    _require(isinstance(spec, ProblemSpec),
+             f"spec must be a ProblemSpec, got {type(spec).__name__}")
+    return spec  # type: ignore[return-value]
+
+
 def _require_real(lam: complex | float, what: str) -> float:
     if isinstance(lam, complex):
         _require(lam.imag == 0.0, f"{what} requires a real lambda")
@@ -108,13 +121,16 @@ def _require_real(lam: complex | float, what: str) -> float:
 
 
 def lambda_entry(fn):
-    """Guard a public ``fn(spec, lam, ...)``: a ``lam`` that is not one number
-    (a ``bool``, string, ``None`` or container), NaN or infinite is an
-    :class:`InvalidProblemError`, and float overflow inside (``cosh`` past
-    ``e^709``, a NaN reaching ``int``) a :class:`NumericalFailure`."""
+    """Guard a public ``fn(spec, lam, ...)``: a ``spec`` that is no problem,
+    or a ``lam`` that is not one number (a ``bool``, string, ``None`` or
+    container), NaN or infinite is an :class:`InvalidProblemError`, and float
+    overflow inside (``cosh`` past ``e^709``, a NaN reaching ``int``) a
+    :class:`NumericalFailure`."""
 
     @functools.wraps(fn)
     def guarded(spec, lam, *args, **kwargs):
+        if not isinstance(spec, ProblemSpec):
+            _as_problem(spec)
         # cmath rejects str, None and lists, not bools or 1-element arrays;
         # every call pays these tests, so no message is built unless one fails
         number = type(lam) is not bool and getattr(lam, "ndim", 0) == 0
@@ -158,8 +174,8 @@ def _normalize_q(q: object, x0: float, x1: float) -> QSpec:
 
 
 class _Value:
-    """An immutable value: ``__init__`` sets each of ``_fields`` once, and
-    equality, hash, ``repr`` and pickling (through ``__init__``) go by them."""
+    """An immutable value: ``__init__`` sets each slot once, and equality,
+    hash, ``repr`` and pickling (through ``__init__``) go by ``_fields``."""
 
     __slots__ = ()
 
@@ -196,7 +212,7 @@ class Piece(_Value):
     the per-lambda loops read that one attribute per piece."""
 
     _fields = ("x0", "x1", "w", "q")
-    __slots__ = _fields + ("constant",)
+    __slots__ = _fields + ("length", "has_constant_q", "constant")
 
     def __init__(self, x0: float, x1: float, w: float, q: QSpec = 0.0) -> None:
         x0 = _as_finite_float(x0, "piece x0")
@@ -205,15 +221,8 @@ class Piece(_Value):
         _require(x0 < x1, f"piece must have positive length: [{x0!r}, {x1!r}]")
         _require(w != 0.0, "piece weight must be nonzero")
         q = _normalize_q(q, x0, x1)
-        self._set(x0, x1, w, q, (w, q, x0, x1) if isinstance(q, float) else None)
-
-    @property
-    def length(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def has_constant_q(self) -> bool:
-        return isinstance(self.q, float)
+        const = isinstance(q, float)
+        self._set(x0, x1, w, q, x1 - x0, const, (w, q, x0, x1) if const else None)
 
     def q_at(self, x: float) -> float:
         """Potential value at ``x`` (within the closed piece)."""
@@ -248,7 +257,8 @@ class Piece(_Value):
 class PiecewiseCoefficient(_Value):
     """An ordered run of pieces tiling a compact interval exactly."""
 
-    __slots__ = _fields = ("pieces",)
+    _fields = ("pieces",)
+    __slots__ = _fields + ("a", "b", "breakpoints")
 
     def __init__(self, pieces: Iterable[Piece]) -> None:
         pieces = tuple(pieces)
@@ -259,19 +269,8 @@ class PiecewiseCoefficient(_Value):
             _require(left.x1 == right.x0,
                      f"pieces must tile the interval exactly: piece ending at "
                      f"{left.x1!r} followed by piece starting at {right.x0!r}")
-        self._set(pieces)
-
-    @property
-    def a(self) -> float:
-        return self.pieces[0].x0
-
-    @property
-    def b(self) -> float:
-        return self.pieces[-1].x1
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return tuple(p.x0 for p in self.pieces) + (self.b,)
+        breakpoints = tuple(p.x0 for p in pieces) + (pieces[-1].x1,)
+        self._set(pieces, breakpoints[0], breakpoints[-1], breakpoints)
 
     def piece_at(self, x: float) -> Piece:
         """The piece governing ``x``, using the right-limit convention."""
@@ -298,9 +297,12 @@ class PiecewiseCoefficient(_Value):
 
 
 class ProblemSpec(_Value):
-    """A complete problem: coefficients plus boundary-condition angles."""
+    """A complete problem: coefficients plus boundary-condition angles.
+    ``launch`` starts the left solution; ``D = y cos_beta + y' sin_beta``."""
 
-    __slots__ = _fields = ("coeff", "alpha", "beta")
+    _fields = ("coeff", "alpha", "beta")
+    __slots__ = _fields + ("a", "b", "pieces", "is_dirichlet", "launch",
+                           "cos_beta", "sin_beta")
 
     def __init__(self, coeff: PiecewiseCoefficient, alpha: float = 0.0, beta: float = 0.0) -> None:
         _require(isinstance(coeff, PiecewiseCoefficient),
@@ -309,23 +311,11 @@ class ProblemSpec(_Value):
         beta = _as_finite_float(beta, "beta")
         _require(0.0 <= alpha < math.pi, f"alpha must lie in [0, pi), got {alpha!r}")
         _require(0.0 <= beta < math.pi, f"beta must lie in [0, pi), got {beta!r}")
-        self._set(coeff, alpha, beta)
-
-    @property
-    def a(self) -> float:
-        return self.coeff.a
-
-    @property
-    def b(self) -> float:
-        return self.coeff.b
-
-    @property
-    def pieces(self) -> tuple[Piece, ...]:
-        return self.coeff.pieces
-
-    @property
-    def is_dirichlet(self) -> bool:
-        return self.alpha == 0.0 and self.beta == 0.0
+        y, yp = math.sin(alpha), math.cos(alpha)
+        self._set(coeff, alpha, beta, coeff.a, coeff.b, coeff.pieces,
+                  alpha == 0.0 and beta == 0.0,
+                  (y, yp, max(1.0, abs(y) + abs(yp))),
+                  math.cos(beta), math.sin(beta))
 
 
 # ---------------------------------------------------------------------------

@@ -304,8 +304,7 @@ def _lambda_fold(spec: ProblemSpec, lam: Scalar, x_hi: float
     ``(y' u - y u')' = w y^2`` integrates each piece at its end, where the
     derivative from ``a``, moved through the stretches by their flows ``e``,
     takes in ``(u, u')``.  ``scale`` is :func:`characteristic_scaled`'s."""
-    y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
-    scale = max(1.0, abs(y) + abs(yp))
+    y, yp, scale = spec.launch
     gu, gup = 0.0, 0.0
     total = 0.0
     for piece in spec.pieces:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .coefficients import ProblemSpec, _require_real, lambda_entry
+from .coefficients import ProblemSpec, _as_count, _require_real, lambda_entry
 from .errors import DriftUndefined, EmptyWindowError, InvalidProblemError
 from .propagator import _lambda_fold, weighted_norm, weighted_partial
 from .spectrum import (ScanResult, find_real_eigenvalues, interior_zeros,
@@ -96,9 +96,7 @@ def zero_drift(spec: ProblemSpec, lam: float, zero_index: int) -> float:
     zero does not exist or the slope vanishes there.
     """
     lam = _require_real(lam, "zero_drift")
-    if type(zero_index) is bool or not hasattr(zero_index, "__index__") or zero_index < 1:
-        raise InvalidProblemError(
-            f"zero_index must be a positive integer, got {zero_index!r}")
+    zero_index = _as_count(zero_index, "zero_index")
     zs = interior_zeros(spec, lam)
     if len(zs) < zero_index:
         raise DriftUndefined(

@@ -26,8 +26,8 @@ import warnings
 from collections import Counter
 from typing import Callable, NamedTuple, Sequence
 
-from .coefficients import (ProblemSpec, _as_pair, _as_sequence, _as_tol,
-                           _require_real, lambda_entry)
+from .coefficients import (ProblemSpec, _as_count, _as_pair, _as_problem,
+                           _as_sequence, _as_tol, _require_real, lambda_entry)
 from .errors import (ContourError, InvalidProblemError, NumericalFailure,
                      overflow_failure)
 from .propagator import _carry, _lambda_fold, cs_kernels, stretches
@@ -62,9 +62,8 @@ def characteristic_scaled(spec: ProblemSpec, lam: complex | float
     along the interval.  ``|D| / scale`` is the resolution-aware residual:
     values at or below a few hundred ulps of ``scale`` are numerically zero.
     """
-    y, yp = math.sin(spec.alpha), math.cos(spec.alpha)
-    scale = max(1.0, abs(y) + abs(yp))
-    for piece in spec.coeff.pieces:
+    y, yp, scale = spec.launch
+    for piece in spec.pieces:
         const = piece.constant
         if const is None:
             y, yp = _carry(piece, lam, y, yp, piece.x0, piece.x1)
@@ -76,7 +75,7 @@ def characteristic_scaled(spec: ProblemSpec, lam: complex | float
             c, s = cs_kernels(k2, x1 - x0)
             y, yp = c * y + s * yp, -k2 * s * y + c * yp
         scale = max(scale, abs(y) + abs(yp))
-    d = y * math.cos(spec.beta) + yp * math.sin(spec.beta)
+    d = y * spec.cos_beta + yp * spec.sin_beta
     if not (scale < math.inf and d == d):
         raise overflow_failure(lam)
     return d, scale
@@ -173,15 +172,13 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None
     the band is the dedup resolution ``snap = 1e-12 * (b - a)``, which also
     drops a zero the last stretch puts at ``b``.
     """
-    pieces = spec.coeff.pieces
-    a, b = pieces[0].x0, pieces[-1].x1
+    a, b = spec.a, spec.b
     snap = 1e-12 * (b - a)
     lo, hi = a + snap, b - (1e-6 * (b - a) if spec.beta == 0.0 else snap)
     count, last = 0, -math.inf
     placed: list[float] = []
-    y0, yp0 = math.sin(spec.alpha), math.cos(spec.alpha)
-    scale = max(1.0, abs(y0) + abs(yp0))
-    for piece in pieces:
+    y0, yp0, scale = spec.launch
+    for piece in spec.pieces:
         const = piece.constant
         if const is not None:
             # the piece's one stretch, with characteristic_scaled's arithmetic
@@ -227,7 +224,7 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None
             placed.clear()
             y0, yp0 = y1, yp1
         scale = max(scale, abs(y0) + abs(yp0))
-    d = y0 * math.cos(spec.beta) + yp0 * math.sin(spec.beta)
+    d = y0 * spec.cos_beta + yp0 * spec.sin_beta
     if not (scale < math.inf and d == d):
         raise overflow_failure(lam)
     return count, d, scale
@@ -357,7 +354,7 @@ def _d_and_slope(spec: ProblemSpec, lam: complex | float
     """``(D, D', scale)`` at ``lam`` from one :func:`_lambda_fold` to ``b``:
     ``D' = dy/dlambda cos(beta) + dy'/dlambda sin(beta)``."""
     y, yp, u, up, _, scale = _lambda_fold(spec, lam, spec.b)
-    cb, sb = math.cos(spec.beta), math.sin(spec.beta)
+    cb, sb = spec.cos_beta, spec.sin_beta
     d, dp = y * cb + yp * sb, u * cb + up * sb
     if not (scale < math.inf and abs(dp) < math.inf and d == d):
         raise overflow_failure(lam)
@@ -395,7 +392,7 @@ def _detection_grid(spec: ProblemSpec, lo: float, hi: float,
     wmax = max(abs(p.w) for p in spec.pieces)
     base_dx = (math.pi ** 2) / (length * length * wmax)
     n_cells = int(math.ceil((hi - lo) / base_dx))
-    n_cells = max(48, min(n_cells, 200_000)) * max(1, int(refine))
+    n_cells = max(48, min(n_cells, 200_000)) * refine
     grid = [lo + (hi - lo) * i / n_cells for i in range(n_cells + 1)]
     grid[0], grid[-1] = lo, hi
     return grid
@@ -564,10 +561,12 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
     densifies the detection grid (the found set must be stable under
     refinement).
     """
+    spec = _as_problem(spec)
     lo, hi = _as_pair(window, "window")
     if not lo < hi:
         raise InvalidProblemError(f"window must have lo < hi, got {window!r}")
     tol = _as_tol(tol)
+    refine = _as_count(refine, "refine")
 
     # workers share one lattice, split on cell boundaries, so the found set
     # (and therefore the output bytes) is independent of the count
@@ -612,7 +611,7 @@ def _real_record(spec: ProblemSpec, lam: float) -> EigenRecord:
     """A real root's record: zero count, and the weighted norm and ``|D|``
     from one :func:`_lambda_fold` to ``b``."""
     y, yp, _, _, norm, scale = _lambda_fold(spec, lam, spec.b)
-    d = y * math.cos(spec.beta) + yp * math.sin(spec.beta)
+    d = y * spec.cos_beta + yp * spec.sin_beta
     if not (scale < math.inf and abs(norm) < math.inf and d == d):
         raise overflow_failure(lam)
     return EigenRecord(lam, 0.0, count_zeros(spec, lam), norm, abs(d))
@@ -763,6 +762,7 @@ def find_complex_eigenvalues(spec: ProblemSpec,
     ``rect`` is either ``((re_lo, re_hi), (im_lo, im_hi))`` or a mapping
     ``{"re": (lo, hi), "im": (lo, hi)}``.
     """
+    spec = _as_problem(spec)
     if isinstance(rect, dict):
         if set(rect) != {"re", "im"}:
             raise InvalidProblemError(

@@ -140,6 +140,17 @@ class TestProblemSpec:
         spec = ProblemSpec(coeff, alpha=0.3, beta=1.2)
         assert not spec.is_dirichlet
 
+    @pytest.mark.parametrize("alpha", [0.0, math.pi / 2, 3.1])
+    @pytest.mark.parametrize("beta", [0.0, math.pi / 2, 3.1])
+    def test_angles_become_numbers_once(self, alpha, beta):
+        # the walks start from launch and form D with cos_beta, sin_beta
+        spec = ProblemSpec(PiecewiseCoefficient((Piece(0.0, 1.0, 1.0),)),
+                           alpha, beta)
+        y, yp = math.sin(alpha), math.cos(alpha)
+        want = (y, yp, max(1.0, abs(y) + abs(yp)), math.cos(beta), math.sin(beta))
+        got = (*spec.launch, spec.cos_beta, spec.sin_beta)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
 
 # --------------------------------------------------------------------------
 # Value semantics shared by the three problem types
@@ -152,6 +163,11 @@ SPEC = dict(coeff=PiecewiseCoefficient(**COEFF), alpha=0.25, beta=1.5)
 VALUE_CASES = [(Piece, PIECE), (Piece, TABLE_PIECE),
                (PiecewiseCoefficient, COEFF), (ProblemSpec, SPEC)]
 VALUE_IDS = ["Piece-const", "Piece-table", "PiecewiseCoefficient", "ProblemSpec"]
+# what each type computes once, at construction, from its fields
+DERIVED = {Piece: ("length", "has_constant_q", "constant"),
+           PiecewiseCoefficient: ("a", "b", "breakpoints"),
+           ProblemSpec: ("a", "b", "pieces", "is_dirichlet", "launch",
+                         "cos_beta", "sin_beta")}
 PIECE_REPRS = ("Piece(x0=0.0, x1=1.0, w=-2.0, q=3.5)",
                "Piece(x0=1.0, x1=2.0, w=1.5, q=((1.0, 0.0), (2.0, -1.0)))")
 
@@ -193,11 +209,26 @@ class TestValueSemantics:
         object.__setattr__(b, "constant", None)
         assert a == b and hash(a) == hash(b)
         assert "constant" not in repr(a)
+        # every derived value: a slot set in __init__, no property, no field;
+        # a copy or an unpickled value recomputes it from the fields
+        for cls, fields in VALUE_CASES:
+            names = DERIVED[cls]
+            assert set(names) <= set(cls.__slots__) - set(cls._fields)
+            assert not [v for v in vars(cls).values() if isinstance(v, property)]
+            value, twin = cls(**fields), cls(**fields)
+            want = {name: getattr(value, name) for name in names}
+            for name in names:
+                object.__setattr__(twin, name, None)
+            assert twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
+            for copied in (pickle.loads(pickle.dumps(twin)), copy.copy(twin),
+                           copy.deepcopy(twin)):
+                assert {name: getattr(copied, name) for name in names} == want
 
     @pytest.mark.parametrize("cls, fields", VALUE_CASES, ids=VALUE_IDS)
     def test_fields_cannot_be_assigned_or_deleted(self, cls, fields):
         value = cls(**fields)
-        for name in [*fields, "constant", "other"]:
+        for name in [*fields, *DERIVED[cls], "other"]:
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
             with pytest.raises(AttributeError):

@@ -24,7 +24,10 @@ from slindef import (
     ProblemSpec,
     application_problem,
     certify_prop3,
+    certify_prop4,
+    certify_prop5,
     characteristic,
+    classify_definiteness,
     count_zeros,
     disconjugate_on,
     find_complex_eigenvalues,
@@ -615,6 +618,10 @@ class TestRealScan:
             fine = find_real_eigenvalues(spec, window, 1e-9, refine=2)
             assert [r.re_lambda for r in fine.records] == pytest.approx(
                 [r.re_lambda for r in base.records], rel=1e-9, abs=1e-9)
+            # a numpy integer is read as the int: the same lattice, floats
+            numpy_fine = find_real_eigenvalues(spec, window, 1e-9,
+                                               refine=np.int64(2))
+            assert numpy_fine == fine and repr(numpy_fine) == repr(fine)
 
     def test_parallel_scan_matches_serial(self, one_tp_m10, monkeypatch):
         # workers share one detection lattice, so the result must be
@@ -1233,6 +1240,42 @@ def test_tol_is_checked_once_for_every_entry_point(entry, tol, message):
     pytest.param(lambda spec: zero_drift(spec, 17.118939070171816, True),
                  "zero_index must be a positive integer, got True",
                  id="bool zero_index"),
+    # refine is a positive int or numpy integer, read once at the entry
+    *(pytest.param(lambda spec, r=refine: find_real_eigenvalues(
+        spec, (-5, 5), 1e-9, r),
+        f"refine must be a positive integer, got {refine!r}",
+        id=f"refine {refine!r}")
+      for refine in ("abc", None, True, 2.7, 0, -3)),
+    # every entry point that takes a problem reads it as one
+    *(pytest.param(call, f"spec must be a ProblemSpec, got {got}", id=name)
+      for name, got, call in [
+          ("characteristic", "NoneType",
+           lambda spec: characteristic(None, 1.0)),
+          ("count_zeros", "PiecewiseCoefficient",
+           lambda spec: count_zeros(spec.coeff, 1.0)),
+          ("interior_zeros", "NoneType",
+           lambda spec: interior_zeros(None, 1.0)),
+          ("weighted_norm", "str", lambda spec: weighted_norm("x", 1.0)),
+          ("solution_at", "NoneType",
+           lambda spec: solution_at(None, 1.0, [0.0])),
+          ("zero_drift", "NoneType", lambda spec: zero_drift(None, 1.0, 1)),
+          ("find_real_eigenvalues", "NoneType",
+           lambda spec: find_real_eigenvalues(None, (-5, 5))),
+          ("richardson_numbers", "NoneType",
+           lambda spec: richardson_numbers(None, (-5, 5))),
+          ("find_complex_eigenvalues", "NoneType",
+           lambda spec: find_complex_eigenvalues(None, ((0, 1), (0, 1)))),
+          ("classify_definiteness", "NoneType",
+           lambda spec: classify_definiteness(None)),
+          ("disconjugate_on", "NoneType",
+           lambda spec: disconjugate_on(None, 0.0, (-1, 0))),
+          ("certify_prop3", "NoneType",
+           lambda spec: certify_prop3(None, 17.0, [0.0])),
+          ("certify_prop4", "NoneType",
+           lambda spec: certify_prop4(None, 0.0, 1.0, 0.0, 0.5, 0.7)),
+          ("certify_prop5", "NoneType",
+           lambda spec: certify_prop5(None, 0.0, 1.0, 0.0, 0.5, 0.7)),
+      ]),
 ])
 def test_range_ends_are_finite_numbers(call, message):
     with pytest.raises(InvalidProblemError, match=f"^{re.escape(message)}$"):
