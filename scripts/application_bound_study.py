@@ -15,6 +15,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -30,8 +31,10 @@ def _fmt(value) -> str:
 
 def run(args: argparse.Namespace) -> str:
     rows = ["m,q0,certificate_valid,bound,lambda_plus,slack,seconds"]
-    m = args.m_from
-    while m <= args.m_to + 1e-12:
+    i = 0
+    # point i is m_from + i * step, so rounding does not pile up along the grid
+    while (m := args.m_from + i * args.step) <= args.m_to + 1e-12:
+        i += 1
         q0 = args.q_factor * m
         t0 = time.monotonic()
         try:
@@ -41,7 +44,6 @@ def run(args: argparse.Namespace) -> str:
                                      (-lim, lim), args.tol)
         except SlindefError as exc:
             print(f"M={m:g}: {exc}", file=sys.stderr)
-            m += args.step
             continue
         dt = time.monotonic() - t0
         slack = (None if rep.lambda_plus is None
@@ -52,7 +54,6 @@ def run(args: argparse.Namespace) -> str:
         ]))
         print(f"M={m:g}: valid={cert.valid} bound={cert.bound:g} "
               f"lambda_plus={rep.lambda_plus} ({dt:.2f}s)", file=sys.stderr)
-        m += args.step
     return "\n".join(rows) + "\n"
 
 
@@ -72,6 +73,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if abs(args.q_factor) > 1.0:
         print("q-factor must lie in [-1, 1] so that |q| <= M", file=sys.stderr)
+        return 2
+    if not 0.0 < args.step < math.inf:
+        print(f"step must be positive and finite, got {args.step!r}",
+              file=sys.stderr)
         return 2
 
     csv = run(args)

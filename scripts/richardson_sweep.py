@@ -17,6 +17,7 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -45,15 +46,16 @@ def _fmt(value) -> str:
 
 def run(args: argparse.Namespace) -> str:
     rows = ["q0,lambda_plus,lambda_minus,n_r,n_h,n_eigenvalues,seconds"]
-    q0 = args.q0_from
-    while q0 <= args.q0_to + 1e-12:
+    i = 0
+    # point i is q0_from + i * step, so rounding does not pile up along the grid
+    while (q0 := args.q0_from + i * args.step) <= args.q0_to + 1e-12:
+        i += 1
         lim = abs(q0) + args.window_pad
         t0 = time.monotonic()
         try:
             rep = richardson_numbers(_build(args, q0), (-lim, lim), args.tol)
         except SlindefError as exc:
             print(f"q0={q0:g}: {exc}", file=sys.stderr)
-            q0 += args.step
             continue
         dt = time.monotonic() - t0
         rows.append(",".join([
@@ -64,7 +66,6 @@ def run(args: argparse.Namespace) -> str:
         ]))
         print(f"q0={q0:g}: lambda_plus={rep.lambda_plus} "
               f"lambda_minus={rep.lambda_minus} ({dt:.2f}s)", file=sys.stderr)
-        q0 += args.step
     return "\n".join(rows) + "\n"
 
 
@@ -85,6 +86,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None,
                         help="write CSV here instead of stdout")
     args = parser.parse_args(argv)
+
+    if not 0.0 < args.step < math.inf:
+        print(f"step must be positive and finite, got {args.step!r}",
+              file=sys.stderr)
+        return 2
 
     csv = run(args)
     if args.out:

@@ -12,14 +12,13 @@ evidence that the scan results can be checked against.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from typing import NamedTuple, Sequence
 
 from .coefficients import (Piece, PiecewiseCoefficient, ProblemSpec,
                            _as_finite_float, _as_pair, _as_problem,
-                           _as_sequence, _as_tol, application_problem,
-                           lambda_entry)
+                           _as_sequence, _as_tol, _json_text,
+                           application_problem, lambda_entry)
 from .errors import HypothesisViolation, InvalidProblemError, NumericalFailure
 from .propagator import _carry, weighted_norm
 from .spectrum import (_bracket_root, _newton_polish, _zero_walk,
@@ -101,7 +100,7 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
 
 
 def certificate_to_json(cert: BoundCertificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+    return _json_text(certificate_to_dict(cert))
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +247,6 @@ def _range_of(coeff: PiecewiseCoefficient, factor: float, lo: float,
               hi: float) -> tuple[float, float]:
     """Exact ``(inf, sup)`` of ``factor * w + q`` over ``[lo, hi]`` (the
     function is piecewise linear in ``x``)."""
-    if not (coeff.a <= lo < hi <= coeff.b):
-        raise InvalidProblemError(
-            f"[{lo!r}, {hi!r}] is not inside [{coeff.a!r}, {coeff.b!r}]")
     vmin = math.inf
     vmax = -math.inf
     for piece in coeff.pieces:
@@ -546,14 +542,9 @@ class DefinitenessReport(NamedTuple):
         return "nondefinite (both forms indefinite): non-real eigenvalues possible"
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "is_orthogonal": self.is_orthogonal,
-            "is_polar": self.is_polar,
-            "lambda0": self.lambda0,
-            "summary": self.summary,
-            "witnesses": _jsonable(self.witnesses),
-        }
+        fields = _jsonable(self)
+        witnesses = fields.pop("witnesses")
+        return {**fields, "summary": self.summary, "witnesses": witnesses}
 
 
 def _unit_weight_spec(spec: ProblemSpec) -> ProblemSpec:

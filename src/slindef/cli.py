@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 import warnings
 
@@ -32,7 +31,7 @@ def _warn(message: object) -> None:
 def _cmd_classify(args: argparse.Namespace) -> str:
     spec = coeffs.load_problem(args.problem)
     report = certs.classify_definiteness(spec)
-    return json.dumps(report.to_dict(), indent=2) + "\n"
+    return coeffs._json_text(report.to_dict())
 
 
 def _cmd_scan(args: argparse.Namespace) -> str:
@@ -51,12 +50,11 @@ def _cmd_complex_scan(args: argparse.Namespace) -> str:
         spec, (tuple(args.re), tuple(args.im)), args.tol)
     if args.format == "csv":
         return spec_mod.records_to_csv(records)
-    payload = {
+    return coeffs._json_text({
         "rect": {"re": list(args.re), "im": list(args.im)},
         "tol": args.tol,
         "eigenvalues": [r.to_dict() for r in records],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })
 
 
 def _cmd_richardson(args: argparse.Namespace) -> str:
@@ -72,8 +70,8 @@ def _cmd_richardson(args: argparse.Namespace) -> str:
 def _cmd_drift(args: argparse.Namespace) -> str:
     spec = coeffs.load_problem(args.problem)
     value = rich.zero_drift(spec, args.lam, args.zero_index)
-    return json.dumps({"lambda": args.lam, "zero_index": args.zero_index,
-                       "drift": value}, indent=2) + "\n"
+    return coeffs._json_text({"lambda": args.lam,
+                              "zero_index": args.zero_index, "drift": value})
 
 
 def _parse_mus(raw: str) -> list[float]:
@@ -89,9 +87,8 @@ def _cmd_certify(args: argparse.Namespace) -> str:
         if args.q0 is None:
             raise InvalidProblemError("certify --kind one_tp needs --q0")
         upper, lower = certs.bound_one_turning_point(args.q0)
-        payload = {"upper": certs.certificate_to_dict(upper),
-                   "lower": certs.certificate_to_dict(lower)}
-        return json.dumps(payload, indent=2) + "\n"
+        return coeffs._json_text({"upper": certs.certificate_to_dict(upper),
+                                  "lower": certs.certificate_to_dict(lower)})
     if kind == "application":
         if args.m is None:
             raise InvalidProblemError("certify --kind application needs --m")

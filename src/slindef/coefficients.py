@@ -27,6 +27,7 @@ import cmath
 import functools
 import json
 import math
+import os
 from collections.abc import Iterable, Mapping, Set
 from typing import Union
 
@@ -100,6 +101,14 @@ def _as_pair(value: object, what: str, lo: str = "start",
             _as_finite_float(second, f"{what} {hi}"))
 
 
+def _as_point(where, value: object, what: str) -> float:
+    """A caller's point of ``[a, b]`` of ``where``, a problem or a coefficient."""
+    x = _as_finite_float(value, what)
+    _require(where.a <= x <= where.b,
+             f"{what}={x!r} outside the interval [{where.a!r}, {where.b!r}]")
+    return x
+
+
 def _as_count(value: object, what: str) -> int:
     """A caller's positive ``int`` or numpy integer, never a ``bool``."""
     _require(type(value) is not bool and hasattr(value, "__index__") and value >= 1,
@@ -111,6 +120,13 @@ def _as_problem(spec: object) -> ProblemSpec:
     _require(isinstance(spec, ProblemSpec),
              f"spec must be a ProblemSpec, got {type(spec).__name__}")
     return spec  # type: ignore[return-value]
+
+
+def _as_path(path: object) -> str | os.PathLike:
+    """A caller's file path, never an ``int`` that ``open`` reads as an fd."""
+    _require(isinstance(path, (str, os.PathLike)),
+             f"path must be a str or an os.PathLike, got {type(path).__name__}")
+    return path  # type: ignore[return-value]
 
 
 def _require_real(lam: complex | float, what: str) -> float:
@@ -261,7 +277,7 @@ class PiecewiseCoefficient(_Value):
     __slots__ = _fields + ("a", "b", "breakpoints")
 
     def __init__(self, pieces: Iterable[Piece]) -> None:
-        pieces = tuple(pieces)
+        pieces = _as_sequence(pieces, "pieces")
         _require(len(pieces) >= 1, "at least one piece is required")
         _require(all(isinstance(p, Piece) for p in pieces),
                  "pieces must be Piece instances")
@@ -274,8 +290,7 @@ class PiecewiseCoefficient(_Value):
 
     def piece_at(self, x: float) -> Piece:
         """The piece governing ``x``, using the right-limit convention."""
-        _require(self.a <= x <= self.b,
-                 f"x={x!r} outside the problem interval [{self.a!r}, {self.b!r}]")
+        x = _as_point(self, x, "x")
         return self.pieces[bisect.bisect_right(self.pieces, x, key=lambda p: p.x0) - 1]
 
     def evaluate(self, x: float) -> tuple[float, float]:
@@ -360,8 +375,7 @@ def application_problem(q: object = 0.0) -> ProblemSpec:
     """
     bounds = [(-1.0, 0.0), (0.0, 1.0), (1.0, 2.0)]
     weights = [-1.0, 2.0, -1.0]
-    qs = [q] * 3 if _is_scalar(q) else list(q)  # type: ignore[arg-type]
-    _require(len(qs) == 3, "q must be a number or a sequence of 3 entries")
+    qs = (q,) * 3 if _is_scalar(q) else _as_sequence(q, "q", 3)
     coeff = PiecewiseCoefficient(tuple(
         Piece(x0, x1, w, qp) for (x0, x1), w, qp in zip(bounds, weights, qs)
     ))
@@ -380,7 +394,7 @@ def build_canonical(kind: str, *args: object, **kwargs: object) -> ProblemSpec:
     ``application``."""
     try:
         builder = _CANONICAL_BUILDERS[kind]
-    except KeyError:
+    except (KeyError, TypeError):
         raise InvalidProblemError(
             f"unknown canonical family {kind!r}; expected one of "
             f"{sorted(_CANONICAL_BUILDERS)}") from None
@@ -401,6 +415,7 @@ def normalize_domain(spec: ProblemSpec) -> ProblemSpec:
     eigenvalues as the original.  Specs already on [-1, 2] are returned
     unchanged, so the operation is idempotent.
     """
+    spec = _as_problem(spec)
     a, b = spec.a, spec.b
     if a == -1.0 and b == 2.0:
         return spec
@@ -454,6 +469,7 @@ def _q_from_json(obj: object) -> QSpec | object:
 
 
 def problem_to_dict(spec: ProblemSpec) -> dict:
+    spec = _as_problem(spec)
     return {
         "interval": [spec.a, spec.b],
         "alpha": spec.alpha,
@@ -467,7 +483,6 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
 
 def problem_from_dict(data: object) -> ProblemSpec:
     _require(isinstance(data, dict), "problem document must be a JSON object")
-    assert isinstance(data, dict)
     unknown = set(data) - {"interval", "alpha", "beta", "pieces"}
     _require(not unknown, f"unknown problem keys: {sorted(unknown)}")
     _require("pieces" in data, "problem document lacks 'pieces'")
@@ -490,8 +505,13 @@ def problem_from_dict(data: object) -> ProblemSpec:
     return ProblemSpec(coeff, data.get("alpha", 0.0), data.get("beta", 0.0))
 
 
-def load_problem(path: str) -> ProblemSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+def _json_text(payload: object) -> str:
+    """The one JSON layout of every writer: indent 2, a trailing newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def load_problem(path: str | os.PathLike) -> ProblemSpec:
+    with open(_as_path(path), "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -499,7 +519,8 @@ def load_problem(path: str) -> ProblemSpec:
     return problem_from_dict(data)
 
 
-def save_problem(spec: ProblemSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(spec), fh, indent=2)
-        fh.write("\n")
+def save_problem(spec: ProblemSpec, path: str | os.PathLike) -> None:
+    # the text is formed first, so a bad spec leaves an existing file intact
+    text = _json_text(problem_to_dict(spec))
+    with open(_as_path(path), "w", encoding="utf-8") as fh:
+        fh.write(text)

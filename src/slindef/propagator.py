@@ -43,9 +43,9 @@ import cmath
 import math
 from typing import NamedTuple, Sequence
 
-from .coefficients import (Piece, ProblemSpec, _as_finite_float, _as_sequence,
+from .coefficients import (Piece, ProblemSpec, _as_point, _as_sequence,
                            _require_real, lambda_entry)
-from .errors import InvalidProblemError, NumericalFailure, overflow_failure
+from .errors import NumericalFailure, overflow_failure
 
 __all__ = [
     "StateVector",
@@ -249,9 +249,7 @@ def solution_at(spec: ProblemSpec, lam: Scalar,
     """Solution states at the requested locations (any order, must lie in
     ``[a, b]``), each the ``(y, y')`` of one :func:`_lambda_fold` to its
     point; a state that overflows raises :class:`NumericalFailure`."""
-    xs = [_as_finite_float(x, "x") for x in _as_sequence(xs, "xs")]
-    for x in xs:
-        spec.coeff.piece_at(x)
+    xs = [_as_point(spec, x, "x") for x in _as_sequence(xs, "xs")]
     states = [StateVector(x, *_lambda_fold(spec, lam, x)[:2]) for x in xs]
     if not all(abs(st.y) + abs(st.yp) < math.inf for st in states):
         raise overflow_failure(lam)
@@ -284,10 +282,7 @@ def weighted_partial(spec: ProblemSpec, lam: float, x_hi: float) -> float:
     """``int_a^{x_hi} w y^2 dx`` for the left solution at real ``lambda``,
     the norm of :func:`_lambda_fold`."""
     lam = _require_real(lam, "weighted_partial")
-    x_hi = _as_finite_float(x_hi, "x_hi")
-    if not (spec.a <= x_hi <= spec.b):
-        raise InvalidProblemError(
-            f"x_hi={x_hi!r} outside the interval [{spec.a!r}, {spec.b!r}]")
+    x_hi = _as_point(spec, x_hi, "x_hi")
     total = _lambda_fold(spec, lam, x_hi)[4]
     if not (abs(total) < math.inf):
         raise overflow_failure(lam)

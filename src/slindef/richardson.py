@@ -17,11 +17,11 @@ is ``None``.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
-from .coefficients import ProblemSpec, _as_count, _require_real, lambda_entry
-from .errors import DriftUndefined, EmptyWindowError, InvalidProblemError
+from .coefficients import (ProblemSpec, _as_count, _json_text, _require_real,
+                           lambda_entry)
+from .errors import DriftUndefined, EmptyWindowError
 from .propagator import _lambda_fold, weighted_norm, weighted_partial
 from .spectrum import (ScanResult, find_real_eigenvalues, interior_zeros,
                        records_to_csv)
@@ -123,7 +123,7 @@ def report_to_dict(report: RichardsonReport) -> dict:
 
 
 def report_to_json(report: RichardsonReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return _json_text(report_to_dict(report))
 
 
 def report_to_csv(spec: ProblemSpec, report: RichardsonReport,
@@ -139,6 +139,6 @@ def report_to_csv(spec: ProblemSpec, report: RichardsonReport,
         try:
             d = zero_drift(spec, rec.re_lambda, 1)
             out.append(f"{line},{d!r}")
-        except (DriftUndefined, InvalidProblemError):
+        except DriftUndefined:
             out.append(line + ",")
     return "\n".join(out) + "\n"

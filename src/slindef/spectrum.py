@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 import os
 import warnings
@@ -27,7 +26,8 @@ from collections import Counter
 from typing import Callable, NamedTuple, Sequence
 
 from .coefficients import (ProblemSpec, _as_count, _as_pair, _as_problem,
-                           _as_sequence, _as_tol, _require_real, lambda_entry)
+                           _as_sequence, _as_tol, _json_text, _require_real,
+                           lambda_entry)
 from .errors import (ContourError, InvalidProblemError, NumericalFailure,
                      overflow_failure)
 from .propagator import _carry, _lambda_fold, cs_kernels, stretches
@@ -250,6 +250,9 @@ def count_zeros(spec: ProblemSpec, lam: float) -> int:
 # Eigenvalue records and scan results
 # ---------------------------------------------------------------------------
 
+# an EigenRecord's fields as its JSON keys and CSV header name them
+_COLUMNS = ("re_lambda", "im_lambda", "zeros", "weighted_norm", "residual")
+
 class EigenRecord(NamedTuple):
     """One located eigenvalue.  ``zeros_in_ab`` and ``weighted_norm`` are
     populated for real eigenvalues only."""
@@ -271,13 +274,7 @@ class EigenRecord(NamedTuple):
         return self.im_lambda == 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "re_lambda": self.re_lambda,
-            "im_lambda": self.im_lambda,
-            "zeros": self.zeros_in_ab,
-            "weighted_norm": self.weighted_norm,
-            "residual": self.residual,
-        }
+        return dict(zip(_COLUMNS, self))
 
 
 class ScanResult(NamedTuple):
@@ -888,11 +885,7 @@ def _fmt(value: float | int | None) -> str:
 
 
 def records_to_csv(records: Sequence[EigenRecord]) -> str:
-    lines = ["re_lambda,im_lambda,zeros,weighted_norm,residual"]
-    for r in records:
-        lines.append(",".join([
-            _fmt(r.re_lambda), _fmt(r.im_lambda), _fmt(r.zeros_in_ab),
-            _fmt(r.weighted_norm), _fmt(r.residual)]))
+    lines = [",".join(_COLUMNS), *(",".join(map(_fmt, r)) for r in records)]
     return "\n".join(lines) + "\n"
 
 
@@ -901,4 +894,4 @@ def scan_to_csv(result: ScanResult) -> str:
 
 
 def scan_to_json(result: ScanResult) -> str:
-    return json.dumps(result.to_dict(), indent=2) + "\n"
+    return _json_text(result.to_dict())

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -405,6 +406,35 @@ class TestJsonIO:
     def test_load_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_problem(tmp_path / "nope.json")
+
+    def test_bad_spec_leaves_an_existing_file_intact(self, tmp_path, app_spec):
+        # the text is formed before the file is opened for writing
+        path = tmp_path / "prob.json"
+        save_problem(app_spec, path)
+        before = path.read_bytes()
+        with pytest.raises(InvalidProblemError,
+                           match="^spec must be a ProblemSpec, got NoneType$"):
+            save_problem(None, path)
+        assert path.read_bytes() == before
+
+    def test_path_is_a_str_or_a_pathlike(self, tmp_path, app_spec):
+        # open() takes an int for a file descriptor, reads or writes it and
+        # closes it; a path must be a str or an os.PathLike
+        path = tmp_path / "prob.json"
+        save_problem(app_spec, str(path))
+        before = path.read_bytes()
+        fd = os.open(path, os.O_RDWR)
+        try:
+            for call in (lambda: load_problem(fd),
+                         lambda: save_problem(app_spec, fd)):
+                with pytest.raises(InvalidProblemError, match=(
+                        "^path must be a str or an os.PathLike, got int$")):
+                    call()
+            assert os.fstat(fd).st_size == len(before)   # still open
+        finally:
+            os.close(fd)
+        assert path.read_bytes() == before
+        assert load_problem(str(path)) == load_problem(path) == app_spec
 
 
 # --------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from slindef import (
     PiecewiseCoefficient,
     ProblemSpec,
     application_problem,
+    build_canonical,
     certify_prop3,
     certify_prop4,
     certify_prop5,
@@ -35,8 +36,10 @@ from slindef import (
     interior_zeros,
     normalize_domain,
     one_turning_point,
+    problem_to_dict,
     records_to_csv,
     richardson_numbers,
+    save_problem,
     scan_to_csv,
     scan_to_json,
     two_turning_point,
@@ -45,7 +48,7 @@ from slindef import (
 )
 from slindef import propagator, spectrum
 from slindef.propagator import _ds_dz, _lambda_fold, solution_at, stretches
-from slindef.richardson import weighted_partial
+from slindef.richardson import report_to_csv, weighted_partial
 from slindef.spectrum import (_EPS, _d_and_slope, _empirical_indices,
                               _newton_polish, _refine_bracket, _thread_count,
                               characteristic_scaled)
@@ -634,6 +637,31 @@ class TestRealScan:
     def test_window_edge_warning(self, classical_spec):
         res = find_real_eigenvalues(classical_spec, (PI2, 50.0), 1e-9)
         assert any("edge" in w or "boundary" in w for w in res.warnings)
+
+    @pytest.mark.parametrize("window, roots", [
+        ((4.0, 44.0), [4.0, 7.18938795116, 28.9233024551]),
+        ((-36.0, 4.0), [-21.8317059634, 4.0]),
+    ], ids=["root at lo", "root at hi"])
+    def test_lattice_node_on_a_root(self, window, roots):
+        # D(4) is exactly 0.0 here, so the window edge 4 is a lattice node
+        # on a root: the scan emits the node itself and rescans its cell
+        # without it, at the low end of one window and the high end of the
+        # other, and reports the root once with both edge notes
+        spec = ProblemSpec(PiecewiseCoefficient((
+            Piece(0.0, 1.0, -1.0, 8.0),
+            Piece(1.0, 2.0925199316307594, 1.0, -4.0))))
+        assert characteristic(spec, 4.0) == 0.0
+        res = find_real_eigenvalues(spec, window, 1e-9)
+        assert res.eigenvalues == pytest.approx(roots, rel=1e-10)
+        assert res.eigenvalues.count(4.0) == 1
+        assert res.warnings == (
+            "eigenvalue 4.0 lies within the boundary band of the window edge "
+            "4.0; membership is ambiguous at tol=1e-09",
+            "|D| is at the numerical floor at the window edge 4.0; an "
+            "eigenvalue may sit on the boundary")
+        # off the node, Newton polishes the same root to a neighbouring double
+        assert find_real_eigenvalues(spec, (3.0, 44.0), 1e-9).eigenvalues[0] \
+            == 3.9999999999999996
 
     def test_empty_window(self, classical_spec):
         res = find_real_eigenvalues(classical_spec, (-30.0, -10.0), 1e-9)
@@ -1240,6 +1268,35 @@ def test_tol_is_checked_once_for_every_entry_point(entry, tol, message):
     pytest.param(lambda spec: zero_drift(spec, 17.118939070171816, True),
                  "zero_index must be a positive integer, got True",
                  id="bool zero_index"),
+    # a place in [a, b] has one reader and one message
+    pytest.param(lambda spec: solution_at(spec, 17.0, [0.5, 1.5]),
+                 "x=1.5 outside the interval [-1.0, 1.0]", id="x outside"),
+    pytest.param(lambda spec: weighted_partial(spec, 17.0, -2.0),
+                 "x_hi=-2.0 outside the interval [-1.0, 1.0]",
+                 id="x_hi outside"),
+    pytest.param(lambda spec: spec.coeff.piece_at(1.5),
+                 "x=1.5 outside the interval [-1.0, 1.0]",
+                 id="piece_at outside"),
+    *(pytest.param(lambda spec, x=x: spec.coeff.piece_at(x),
+                   f"x is not a number: {x!r}", id=f"piece_at {x!r}")
+      for x in (True, "x", None, [0.5])),
+    pytest.param(lambda spec: spec.coeff.evaluate("0.5"),
+                 "x is not a number: '0.5'", id="evaluate string"),
+    pytest.param(lambda spec: spec.coeff.evaluate(math.nan),
+                 "x must be finite, got nan", id="evaluate nan"),
+    # pieces, and application_problem's per-piece q, are sequences
+    *(pytest.param(lambda spec, v=v: PiecewiseCoefficient(v),
+                   f"pieces must be a sequence, got {v!r}", id=f"pieces {v!r}")
+      for v in (None, 5, "x", {"a": 1})),
+    *(pytest.param(lambda spec, q=q: application_problem(q),
+                   f"q must be a sequence of 3, got {q!r}", id=f"q {q!r}")
+      for q in ({0: 1.0, 1: 2.0, 2: 3.0}, {1.0, 2.0, 3.0}, {"a": 1},
+                [1.0, 2.0], (1.0, 2.0, 3.0, 4.0))),
+    # a canonical family is named by a string
+    pytest.param(lambda spec: build_canonical(["one_tp_sign"], -10.0),
+                 "unknown canonical family ['one_tp_sign']; expected one of "
+                 "['application', 'one_tp_sign', 'two_tp']",
+                 id="unhashable family"),
     # refine is a positive int or numpy integer, read once at the entry
     *(pytest.param(lambda spec, r=refine: find_real_eigenvalues(
         spec, (-5, 5), 1e-9, r),
@@ -1275,6 +1332,17 @@ def test_tol_is_checked_once_for_every_entry_point(entry, tol, message):
            lambda spec: certify_prop4(None, 0.0, 1.0, 0.0, 0.5, 0.7)),
           ("certify_prop5", "NoneType",
            lambda spec: certify_prop5(None, 0.0, 1.0, 0.0, 0.5, 0.7)),
+          ("normalize_domain", "NoneType",
+           lambda spec: normalize_domain(None)),
+          ("problem_to_dict", "PiecewiseCoefficient",
+           lambda spec: problem_to_dict(spec.coeff)),
+          ("save_problem", "NoneType",
+           lambda spec: save_problem(None, os.devnull)),
+          # zero_drift raises DriftUndefined for a record's own lambda,
+          # never InvalidProblemError, so a bad spec is not a blank cell
+          ("report_to_csv", "NoneType",
+           lambda spec: report_to_csv(
+               None, richardson_numbers(spec, (-20, 20)), with_drift=True)),
       ]),
 ])
 def test_range_ends_are_finite_numbers(call, message):
