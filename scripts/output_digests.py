@@ -6,7 +6,7 @@ Usage:
     python3 scripts/output_digests.py ROOT
 
 ROOT is the checkout whose ``src/`` (the library) and ``perfbench/`` (the
-benchmark's problem pools) are imported.  Three kinds of line are printed:
+benchmark's problem pools) are imported.  Five kinds of line are printed:
 
 * ``random N HEX``: 2400 seeded random problems, constant and tabulated
   pieces, real, large and complex lambda, through the characteristic
@@ -14,12 +14,21 @@ benchmark's problem pools) are imported.  Three kinds of line are printed:
   norm and ``disconjugate_on``;
 * ``pointwise N HEX``: every op of the ``pointwise`` pools of seeds 1-3;
 * ``scan_const SEED N HEX``: the ``richardson_numbers`` report of every op
-  of the ``scan_const`` pool of seeds 1-5, in pool order.
+  of the ``scan_const`` pool of seeds 1-5, in pool order;
+* ``scan_tabulated N HEX``: ``find_real_eigenvalues`` on 40 seeded problems
+  with tabulated and constant pieces, windows ``(-W, W)`` with ``W <= 60``,
+  every third at ``refine=2``;
+* ``complex_scan N HEX``: ``find_complex_eigenvalues`` on 24 seeded
+  ``one_turning_point(q0)`` rectangles, above, below and across the real
+  axis, with the warnings each call gives.
 
 ``N`` counts the outputs hashed; each is the ``repr`` of the result, or
-the error's type and message.  The scans honour ``SL_THREADS``, whose
-outputs must not depend on it.  Digests can differ between platforms whose
-maths libraries round differently.
+the error's type and message.  The real scans honour ``SL_THREADS``, whose
+outputs should not depend on it.  The ``scan_tabulated`` line does: a
+Newton polish started in one worker's chunk can land on a root in the
+other's, where serially it is kept beside that chunk's own copy and the
+merge keeps the lower of the two, so one root's last bits change.  Digests
+can differ between platforms whose maths libraries round differently.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+import warnings
 from pathlib import Path
 
 
@@ -99,6 +109,44 @@ def scan_const_digest(lib, workloads, seed: int) -> tuple[int, str]:
     return n, h.hexdigest()
 
 
+def scan_tabulated_digest(lib) -> tuple[int, str]:
+    from slindef import Piece, PiecewiseCoefficient, ProblemSpec
+
+    rng, h, n = random.Random(32), hashlib.sha256(), 0
+    for i in range(40):
+        x, pieces = rng.uniform(-1, 1), []
+        for _ in range(rng.randint(1, 3)):
+            x1, k = x + rng.uniform(0.3, 1.0), rng.randint(1, 4)
+            q = rng.uniform(-15, 15) if k == 1 else tuple(
+                (x + j * (x1 - x) / (k - 1) if j < k - 1 else x1,
+                 rng.uniform(-15, 15))
+                for j in range(k))
+            pieces.append(Piece(x, x1, rng.choice((-1, 1)) * rng.uniform(0.5, 2), q))
+            x = x1
+        spec = ProblemSpec(PiecewiseCoefficient(tuple(pieces)),
+                           rng.uniform(0, 3.1), rng.uniform(0, 3.1))
+        w = rng.uniform(10, 60)
+        h.update(out(lib.spectrum.find_real_eigenvalues, spec, (-w, w), 1e-9,
+                     2 if i % 3 == 2 else 1).encode())
+        n += 1
+    return n, h.hexdigest()
+
+
+def complex_scan_digest(lib) -> tuple[int, str]:
+    rng, h, n = random.Random(33), hashlib.sha256(), 0
+    for i in range(24):
+        spec = lib.coefficients.one_turning_point(rng.uniform(-15, 25))
+        re, im = rng.uniform(5, 40), rng.uniform(1, 15)
+        lo = (0.5, -im, -0.5 * im)[i % 3]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            text = out(lib.spectrum.find_complex_eigenvalues, spec,
+                       ((-re, re), (lo, lo + im)))
+        h.update("\n".join([text, *(str(w.message) for w in caught)]).encode())
+        n += 1
+    return n, h.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: output_digests.py ROOT", file=sys.stderr)
@@ -118,6 +166,8 @@ def main(argv: list[str]) -> int:
     for seed in range(1, 6):
         print("scan_const", seed, *scan_const_digest(lib, WORKLOADS, seed),
               flush=True)
+    print("scan_tabulated", *scan_tabulated_digest(lib), flush=True)
+    print("complex_scan", *complex_scan_digest(lib), flush=True)
     return 0
 
 

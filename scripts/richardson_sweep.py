@@ -87,10 +87,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="write CSV here instead of stdout")
     args = parser.parse_args(argv)
 
-    if not 0.0 < args.step < math.inf:
-        print(f"step must be positive and finite, got {args.step!r}",
-              file=sys.stderr)
-        return 2
+    # read once, before the loop: a value that fails every point is one error
+    for name in ("step", "tol"):
+        value = getattr(args, name)
+        if not 0.0 < value < math.inf:
+            print(f"{name} must be positive and finite, got {value!r}",
+                  file=sys.stderr)
+            return 2
 
     csv = run(args)
     if args.out:

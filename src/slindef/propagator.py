@@ -25,20 +25,23 @@ flow ``C(z, t) I + S(z, t) Omega``.  Every walk of the interval folds
 the state ``(y, y')`` over it by the same update, so ``D``, its derivative,
 the zero count, the norm, the zero drift and :func:`solution_at` all read
 one computed solution bit for bit: :func:`_carry` crosses a tabulated piece
-for ``characteristic_scaled`` and polishes the zero walk's zeros, and both
-walks, the hottest loops, cross constant pieces with the same arithmetic
-inline.  For real ``lambda`` the Magnus steps take the real branches of
+for ``characteristic_scaled``, polishes the zero walk's zeros and carries
+:func:`solution_at`'s states, and both walks, the hottest loops, cross
+constant pieces with the same arithmetic inline.  For real ``lambda`` both
+walks' constant pieces and the Magnus steps take the real branches of
 :func:`cs_kernels` inline too, in its operation order: a call per step made
-tabulated walks 10-19 % slower.
+tabulated walks 10-19 % slower, and a call per constant piece made ``D``
+10-13 % slower.
 Every stretch carries the lambda-derivative of ``(y, y')`` in closed form,
-and one fold, :func:`_lambda_fold`, serves every use of it: the states of
-:func:`solution_at`, the weighted norm by the Lagrange identity, Newton's
-exact ``D'`` and the zero drift.  The fundamental solutions are
-:func:`solution_at` with ``alpha = 0`` and ``alpha = pi/2``.
+and one fold, :func:`_lambda_fold`, serves every use of it: the weighted
+norm by the Lagrange identity, Newton's exact ``D'`` and the zero drift.
+The fundamental solutions are :func:`solution_at` with ``alpha = 0`` and
+``alpha = pi/2``.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from typing import NamedTuple, Sequence
@@ -247,10 +250,24 @@ def _carry(piece: Piece, lam: Scalar, y: Scalar, yp: Scalar,
 def solution_at(spec: ProblemSpec, lam: Scalar,
                 xs: Sequence[float]) -> list[StateVector]:
     """Solution states at the requested locations (any order, must lie in
-    ``[a, b]``), each the ``(y, y')`` of one :func:`_lambda_fold` to its
-    point; a state that overflows raises :class:`NumericalFailure`."""
+    ``[a, b]``), each the ``(y, y')`` that :func:`_lambda_fold` gives at its
+    point, bit for bit: whole pieces are folded once, as far as a point
+    needs, and each point is carried from the start of its own piece (the
+    first piece whose ``x1`` reaches it).  A state that overflows raises
+    :class:`NumericalFailure`."""
     xs = [_as_point(spec, x, "x") for x in _as_sequence(xs, "xs")]
-    states = [StateVector(x, *_lambda_fold(spec, lam, x)[:2]) for x in xs]
+    pieces, ends = spec.pieces, spec.coeff.breakpoints[1:]
+    starts = [spec.launch[:2]]  # (y, y') at each piece's start, so far
+    states = []
+    for x in xs:
+        i = bisect.bisect_left(ends, x)
+        while len(starts) <= i:
+            piece = pieces[len(starts) - 1]
+            starts.append(_carry(piece, lam, *starts[-1], piece.x0, piece.x1))
+        y, yp = starts[i]
+        if x > pieces[i].x0:
+            y, yp = _carry(pieces[i], lam, y, yp, pieces[i].x0, x)
+        states.append(StateVector(x, y, yp))
     if not all(abs(st.y) + abs(st.yp) < math.inf for st in states):
         raise overflow_failure(lam)
     return states
@@ -321,5 +338,7 @@ def _lambda_fold(spec: ProblemSpec, lam: Scalar, x_hi: float
             y, yp = e11 * y + e12 * yp, e21 * y + e22 * yp
         total += yp * u - y * up
         gu, gup = gu + u, gup + up
-        scale = max(scale, abs(y) + abs(yp))
+        size = abs(y) + abs(yp)
+        if size > scale:
+            scale = size
     return y, yp, gu, gup, total, scale

@@ -30,7 +30,8 @@ from .coefficients import (ProblemSpec, _as_count, _as_pair, _as_problem,
                            lambda_entry)
 from .errors import (ContourError, InvalidProblemError, NumericalFailure,
                      overflow_failure)
-from .propagator import _carry, _lambda_fold, cs_kernels, stretches
+from .propagator import (_PHASE_LIMIT, _SERIES_CUTOFF, _carry, _lambda_fold,
+                         _phase_failure, cs_kernels, stretches)
 
 __all__ = [
     "EigenRecord",
@@ -69,12 +70,32 @@ def characteristic_scaled(spec: ProblemSpec, lam: complex | float
             y, yp = _carry(piece, lam, y, yp, piece.x0, piece.x1)
         else:
             # the piece's one stretch, unrolled in _carry's order: fed from
-            # ``stretches``, D cost 11-15 % of constant-piece scans
+            # ``stretches``, D cost 11-15 % of constant-piece scans; for
+            # real lambda cs_kernels' real branches inline, in its order
             w, q, x0, x1 = const
             k2 = lam * w + q
-            c, s = cs_kernels(k2, x1 - x0)
+            t = x1 - x0
+            if isinstance(k2, complex):
+                c, s = cs_kernels(k2, t)
+            elif abs(u := k2 * t * t) < _SERIES_CUTOFF:
+                c = 1.0 - (u / 2.0) * (1.0 - (u / 12.0) * (1.0 - u / 30.0))
+                s = t * (1.0 - (u / 6.0) * (1.0 - (u / 20.0) * (1.0 - u / 42.0)))
+            elif k2 > 0.0:
+                k = math.sqrt(k2)
+                kt = k * t
+                if kt > _PHASE_LIMIT:
+                    raise _phase_failure(kt)
+                c, s = math.cos(kt), math.sin(kt) / k
+            else:
+                k = math.sqrt(-k2)
+                kt = k * t
+                c, s = math.cosh(kt), math.sinh(kt) / k
             y, yp = c * y + s * yp, -k2 * s * y + c * yp
-        scale = max(scale, abs(y) + abs(yp))
+        # max(scale, size), NaN included, without the call, which made
+        # constant-piece D about 30 % slower; every walk updates scale so
+        size = abs(y) + abs(yp)
+        if size > scale:
+            scale = size
     d = y * spec.cos_beta + yp * spec.sin_beta
     if not (scale < math.inf and d == d):
         raise overflow_failure(lam)
@@ -142,7 +163,8 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None
     """``(count, D, scale)`` at real ``lam``: the number of zeros of the
     left solution strictly inside ``(a, b)``, each appended to ``out``
     unless that is ``None``, and :func:`characteristic_scaled`'s pair, bit
-    for bit (a constant piece is crossed inline with its arithmetic).
+    for bit (a constant piece is crossed inline with its arithmetic, real
+    kernel included).
 
     The walk is a fold over :func:`stretches`, and on each stretch
     ``_stretch_zeros`` places the zeros in closed form: by the phase where
@@ -182,12 +204,27 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None
         const = piece.constant
         if const is not None:
             # the piece's one stretch, with characteristic_scaled's arithmetic
+            # and its inline real kernel
             w, q, x, x1 = const
             z = lam * w + q
             length = x1 - x
-            c, s = cs_kernels(z, length)
+            u = z * length * length
+            if abs(u) < _SERIES_CUTOFF:
+                c = 1.0 - (u / 2.0) * (1.0 - (u / 12.0) * (1.0 - u / 30.0))
+                s = length * (1.0 - (u / 6.0) * (1.0 - (u / 20.0)
+                                                 * (1.0 - u / 42.0)))
+            elif z > 0.0:
+                k = math.sqrt(z)
+                kt = k * length
+                if kt > _PHASE_LIMIT:
+                    raise _phase_failure(kt)
+                c, s = math.cos(kt), math.sin(kt) / k
+            else:
+                k = math.sqrt(-z)
+                kt = k * length
+                c, s = math.cosh(kt), math.sinh(kt) / k
             y1, yp1 = c * y0 + s * yp0, -z * s * y0 + c * yp0
-            if not (y0 * y1 > 0.0 and z * length * length < _PI2):
+            if not (y0 * y1 > 0.0 and u < _PI2):
                 count += _stretch_zeros(
                     placed, z, length, y0, yp0, y1, x, snap,
                     None if out is not None else hi - x)
@@ -199,31 +236,32 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None
                             out.append(t)
                 placed.clear()
             y0, yp0 = y1, yp1
-            scale = max(scale, abs(y0) + abs(yp0))
-            continue
-        for e11, e12, e21, e22, _, _, dd, _, d, z, x, length in stretches(
-                piece, lam, piece.x0, piece.x1):
-            y1, yp1 = e11 * y0 + e12 * yp0, e21 * y0 + e22 * yp0
-            if y0 * y1 > 0.0 and z * length * length < _PI2:
+        else:
+            for e11, e12, e21, e22, _, _, dd, _, d, z, x, length in stretches(
+                    piece, lam, piece.x0, piece.x1):
+                y1, yp1 = e11 * y0 + e12 * yp0, e21 * y0 + e22 * yp0
+                if y0 * y1 > 0.0 and z * length * length < _PI2:
+                    y0, yp0 = y1, yp1
+                    continue
+                count += _stretch_zeros(
+                    placed, z, length, y0, d * y0 + yp0, y1, x, snap,
+                    None if out is not None or dd else hi - x)
+                if dd:
+                    for i, t in enumerate(placed):
+                        y, yp = _carry(piece, lam, y0, yp0, x, t)
+                        if yp:
+                            placed[i] = min(max(t - y / yp, x), x + length)
+                for t in placed:
+                    if not (t <= lo or t >= hi or t - last <= snap):
+                        count += 1
+                        last = t
+                        if out is not None:
+                            out.append(t)
+                placed.clear()
                 y0, yp0 = y1, yp1
-                continue
-            count += _stretch_zeros(
-                placed, z, length, y0, d * y0 + yp0, y1, x, snap,
-                None if out is not None or dd else hi - x)
-            if dd:
-                for i, t in enumerate(placed):
-                    y, yp = _carry(piece, lam, y0, yp0, x, t)
-                    if yp:
-                        placed[i] = min(max(t - y / yp, x), x + length)
-            for t in placed:
-                if not (t <= lo or t >= hi or t - last <= snap):
-                    count += 1
-                    last = t
-                    if out is not None:
-                        out.append(t)
-            placed.clear()
-            y0, yp0 = y1, yp1
-        scale = max(scale, abs(y0) + abs(yp0))
+        size = abs(y0) + abs(yp0)
+        if size > scale:
+            scale = size
     d = y0 * spec.cos_beta + yp0 * spec.sin_beta
     if not (scale < math.inf and d == d):
         raise overflow_failure(lam)
@@ -402,7 +440,16 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
     at chunk edges; the caller merges).  ``grid`` is this chunk's slice of
     the one detection lattice all workers share, so the found set is
     identical for any worker count.  One guard covers the chunk, in the
-    worker, and names ``lo`` on an overflow; the walks inside run bare."""
+    worker, and names ``lo`` on an overflow; the walks inside run bare.
+
+    The lattice is read in one pass: one zero walk per node gives its ``D``
+    and count, then each cell is sorted.  A quiet cell, with no sign change,
+    equal counts, non-zero ``D`` at both ends and a width above the floor,
+    takes its midpoint's ``D`` and is done unless ``|D|`` dips there; every
+    other cell (sign change, count jump, dip, node on a root, floor width)
+    goes on the stack, which bisects, brackets and probes it.  Every
+    decision reads the values the stack alone would read at the same
+    points, so the found set does not depend on the pass."""
     d_cache: dict[float, float] = {}
     c_cache: dict[float, int] = {}
 
@@ -443,7 +490,22 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
             emit(xc)
 
     min_width = 0.5 * tol  # relative factor applied per cell below
-    stack = [(x0, x1, 0) for x0, x1 in zip(grid, grid[1:])]
+    cells = [(x0, x1) for x0, x1 in zip(grid, grid[1:]) if x1 > x0]
+    # every node's D and count from one walk, in the order a cell-by-cell
+    # stack reaches them (the last cell first), so a scan that overflows
+    # names the same node
+    for x in [x for cell in reversed(cells) for x in cell]:
+        if x not in c_cache:
+            c_cache[x], d, scale = _zero_walk(spec, x, None)
+            d_cache[x] = d / scale
+    # a quiet cell is done unless its midpoint's |D| is below both ends'
+    stack = []
+    for x0, x1 in cells:
+        d0, d1 = d_cache[x0], d_cache[x1]
+        if not (d0 * d1 > 0.0 and c_cache[x0] == c_cache[x1]
+                and x1 - x0 > min_width * max(1.0, abs(x0), abs(x1))
+                and abs(dval(0.5 * (x0 + x1))) >= min(abs(d0), abs(d1))):
+            stack.append((x0, x1, 0))
 
     while stack:
         x0, x1, depth = stack.pop()
@@ -451,8 +513,6 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
         scale_x = max(1.0, abs(x0), abs(x1))
         if width <= 0.0:
             continue
-        if depth == 0:
-            cval(x0), cval(x1)  # as at each new node below: D and count from one walk
         d0, d1 = dval(x0), dval(x1)
         if d0 == 0.0 or d1 == 0.0:
             # a node on a root: emit it and rescan the cell without it

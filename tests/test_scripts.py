@@ -76,3 +76,19 @@ def test_step_must_be_positive_and_finite(name, step):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"step must be positive and finite, got {float(step)!r}\n"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+@pytest.mark.parametrize("name, argv", [
+    ("richardson_sweep.py",
+     ["--q0-from", "-10", "--q0-to", "-9", "--step", "0.5"]),
+    ("application_bound_study.py",
+     ["--m-from", "0.6", "--m-to", "1.0", "--step", "0.2"]),
+], ids=["richardson_sweep", "application_bound_study"])
+def test_tol_is_read_once_before_the_sweep(name, argv, tol):
+    # a tolerance no point can use is one error and exit 2, not one error
+    # per point and exit 0 with only the CSV header
+    proc = run_script(name, *argv, f"--tol={tol}", timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"tol must be positive and finite, got {float(tol)!r}\n"

@@ -84,6 +84,27 @@ SMALL_SLOPE = ProblemSpec(PiecewiseCoefficient(tuple(
         (1.6369849731944206, 1.8369849731944206, -0.201171875)))))
 
 
+# one-piece constant problems on [0, 2] at the edges of the real kernel that
+# characteristic_scaled and the zero walk compute inline: z len^2 just below
+# _SERIES_CUTOFF (1e-4), at it (where sqrt(z) len is the 1e-2 oscillation cut
+# of _stretch_zeros) and just above it, z = 0, and z < 0; each has one zero
+KERNEL_EDGES = [
+    (ProblemSpec(PiecewiseCoefficient((Piece(0.0, 2.0, w, q),)), 2.5, 0.4),
+     lam)
+    for w, q, lam in ((1.0, 0.0, 2.475e-5), (1.0, 0.0, 2.5e-5),
+                      (1.0, 0.0, 2.525e-5), (1.0, -2.0, 2.0),
+                      (-1.0, 3.0, 3.5))]
+
+
+def at_kernel_edges(args):
+    """``@example(*args(spec, lam))`` for each case of ``KERNEL_EDGES``."""
+    def add(test):
+        for spec, lam in KERNEL_EDGES:
+            test = example(*args(spec, lam))(test)
+        return test
+    return add
+
+
 # --------------------------------------------------------------------------
 # Characteristic function
 # --------------------------------------------------------------------------
@@ -175,6 +196,7 @@ class TestInlineStep:
 
     @given(mixed_problems(), st.floats(min_value=-300.0, max_value=300.0),
            st.floats(min_value=-30.0, max_value=30.0))
+    @at_kernel_edges(lambda spec, lam: (spec, lam, 0.5))
     def test_equals_the_lambda_fold(self, spec, lam, im):
         for z in (lam, complex(lam, im)):
             d, _, scale = _d_and_slope(spec, z)
@@ -350,6 +372,8 @@ class TestZeroCounting:
     @example(ProblemSpec(PiecewiseCoefficient((Piece(0.0, 1.0, 1.0, 0.0),)),
                          math.pi - math.atan(math.tan(10.0 * (1.0 - 5e-7))
                                              / 10.0)), True, 100.0)
+    @at_kernel_edges(lambda spec, lam: (spec, False, lam))
+    @at_kernel_edges(lambda spec, lam: (spec, True, lam))
     def test_count_is_length_of_zero_list(self, spec, dirichlet_b, lam):
         if dirichlet_b:
             spec = ProblemSpec(spec.coeff, spec.alpha, 0.0)
@@ -366,6 +390,7 @@ class TestZeroCounting:
         Piece(0.0, 0.6, 1.0, 4.0),
         Piece(0.6, 1.5, -2.0, ((0.6, -5.0), (1.5, 12.0))))), 0.0, 0.7),
         -400.0)
+    @at_kernel_edges(lambda spec, lam: (spec, lam))
     def test_walk_gives_characteristic_and_count(self, spec, lam):
         count, d, scale = spectrum._zero_walk(spec, lam, None)
         assert (d, scale) == characteristic_scaled(spec, lam)
@@ -1100,8 +1125,11 @@ class TestLambdaRange:
         for lam in (1e300, complex(1e300, 1.0), 1e31):
             with pytest.raises(NumericalFailure, match="phase"):
                 characteristic(classical_spec, lam)
-        with pytest.raises(NumericalFailure, match="phase"):
-            count_zeros(classical_spec, 1e300)
+        # both zero walks compute the kernel inline, with its phase limit
+        for lam in (1e300, 1e31):
+            for walk in (count_zeros, interior_zeros):
+                with pytest.raises(NumericalFailure, match="phase"):
+                    walk(classical_spec, lam)
 
     def test_tabulated_phase_past_double_precision_is_numerical_failure(
             self):
