@@ -23,12 +23,9 @@ benchmark's problem pools) are imported.  Five kinds of line are printed:
   axis, with the warnings each call gives.
 
 ``N`` counts the outputs hashed; each is the ``repr`` of the result, or
-the error's type and message.  The real scans honour ``SL_THREADS``, whose
-outputs should not depend on it.  The ``scan_tabulated`` line does: a
-Newton polish started in one worker's chunk can land on a root in the
-other's, where serially it is kept beside that chunk's own copy and the
-merge keeps the lower of the two, so one root's last bits change.  Digests
-can differ between platforms whose maths libraries round differently.
+the error's type and message.  The real scans honour ``SL_THREADS``, and
+no line may depend on it.  Digests can differ between platforms whose
+maths libraries round differently.
 """
 
 from __future__ import annotations

@@ -25,13 +25,13 @@ flow ``C(z, t) I + S(z, t) Omega``.  Every walk of the interval folds
 the state ``(y, y')`` over it by the same update, so ``D``, its derivative,
 the zero count, the norm, the zero drift and :func:`solution_at` all read
 one computed solution bit for bit: :func:`_carry` crosses a tabulated piece
-for ``characteristic_scaled``, polishes the zero walk's zeros and carries
-:func:`solution_at`'s states, and both walks, the hottest loops, cross
-constant pieces with the same arithmetic inline.  For real ``lambda`` both
-walks' constant pieces and the Magnus steps take the real branches of
-:func:`cs_kernels` inline too, in its operation order: a call per step made
-tabulated walks 10-19 % slower, and a call per constant piece made ``D``
-10-13 % slower.
+for ``characteristic_scaled``, real (the zero walk's D-only mode) or
+complex, polishes the zero walk's zeros and carries :func:`solution_at`'s
+states.  The zero walk, the hottest loop and the one walk at real
+``lambda``, crosses constant pieces with the same arithmetic inline, and
+it and the real Magnus steps take the real branches of :func:`cs_kernels`
+inline, in its operation order: a call per step made tabulated walks
+10-19 % slower, and a call per constant piece made ``D`` 10-13 % slower.
 Every stretch carries the lambda-derivative of ``(y, y')`` in closed form,
 and one fold, :func:`_lambda_fold`, serves every use of it: the weighted
 norm by the Lagrange identity, Newton's exact ``D'`` and the zero drift.

@@ -62,40 +62,21 @@ def characteristic_scaled(spec: ProblemSpec, lam: complex | float
     """``(D(lambda), scale)`` where ``scale`` tracks the size of the solution
     along the interval.  ``|D| / scale`` is the resolution-aware residual:
     values at or below a few hundred ulps of ``scale`` are numerically zero.
+    Real ``lambda`` takes the D-only :func:`_zero_walk`.
     """
+    if not isinstance(lam, complex):
+        return _zero_walk(spec, lam, False)[1:]
     y, yp, scale = spec.launch
     for piece in spec.pieces:
         const = piece.constant
         if const is None:
             y, yp = _carry(piece, lam, y, yp, piece.x0, piece.x1)
         else:
-            # the piece's one stretch, unrolled in _carry's order: fed from
-            # ``stretches``, D cost 11-15 % of constant-piece scans; for
-            # real lambda cs_kernels' real branches inline, in its order
             w, q, x0, x1 = const
             k2 = lam * w + q
-            t = x1 - x0
-            if isinstance(k2, complex):
-                c, s = cs_kernels(k2, t)
-            elif abs(u := k2 * t * t) < _SERIES_CUTOFF:
-                c = 1.0 - (u / 2.0) * (1.0 - (u / 12.0) * (1.0 - u / 30.0))
-                s = t * (1.0 - (u / 6.0) * (1.0 - (u / 20.0) * (1.0 - u / 42.0)))
-            elif k2 > 0.0:
-                k = math.sqrt(k2)
-                kt = k * t
-                if kt > _PHASE_LIMIT:
-                    raise _phase_failure(kt)
-                c, s = math.cos(kt), math.sin(kt) / k
-            else:
-                k = math.sqrt(-k2)
-                kt = k * t
-                c, s = math.cosh(kt), math.sinh(kt) / k
+            c, s = cs_kernels(k2, x1 - x0)
             y, yp = c * y + s * yp, -k2 * s * y + c * yp
-        # max(scale, size), NaN included, without the call, which made
-        # constant-piece D about 30 % slower; every walk updates scale so
-        size = abs(y) + abs(yp)
-        if size > scale:
-            scale = size
+        scale = max(scale, abs(y) + abs(yp))
     d = y * spec.cos_beta + yp * spec.sin_beta
     if not (scale < math.inf and d == d):
         raise overflow_failure(lam)
@@ -158,13 +139,14 @@ def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
     return 0
 
 
-def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None
+def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | bool | None
                ) -> tuple[int, float, float]:
     """``(count, D, scale)`` at real ``lam``: the number of zeros of the
     left solution strictly inside ``(a, b)``, each appended to ``out``
-    unless that is ``None``, and :func:`characteristic_scaled`'s pair, bit
-    for bit (a constant piece is crossed inline with its arithmetic, real
-    kernel included).
+    unless that is ``None``, and :func:`characteristic_scaled`'s pair.
+    ``out=False`` walks for that pair alone (count 0): no end band, no zero
+    test, and a tabulated piece crossed by :func:`_carry`.  A constant piece
+    is crossed inline, :func:`cs_kernels`' real branches included.
 
     The walk is a fold over :func:`stretches`, and on each stretch
     ``_stretch_zeros`` places the zeros in closed form: by the phase where
@@ -194,17 +176,17 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None
     the band is the dedup resolution ``snap = 1e-12 * (b - a)``, which also
     drops a zero the last stretch puts at ``b``.
     """
-    a, b = spec.a, spec.b
-    snap = 1e-12 * (b - a)
-    lo, hi = a + snap, b - (1e-6 * (b - a) if spec.beta == 0.0 else snap)
+    zeros = out is not False
+    if zeros:
+        a, b = spec.a, spec.b
+        snap = 1e-12 * (b - a)
+        lo, hi = a + snap, b - (1e-6 * (b - a) if spec.beta == 0.0 else snap)
     count, last = 0, -math.inf
     placed: list[float] = []
     y0, yp0, scale = spec.launch
     for piece in spec.pieces:
         const = piece.constant
         if const is not None:
-            # the piece's one stretch, with characteristic_scaled's arithmetic
-            # and its inline real kernel
             w, q, x, x1 = const
             z = lam * w + q
             length = x1 - x
@@ -224,7 +206,7 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None
                 kt = k * length
                 c, s = math.cosh(kt), math.sinh(kt) / k
             y1, yp1 = c * y0 + s * yp0, -z * s * y0 + c * yp0
-            if not (y0 * y1 > 0.0 and u < _PI2):
+            if zeros and not (y0 * y1 > 0.0 and u < _PI2):
                 count += _stretch_zeros(
                     placed, z, length, y0, yp0, y1, x, snap,
                     None if out is not None else hi - x)
@@ -236,6 +218,8 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None
                             out.append(t)
                 placed.clear()
             y0, yp0 = y1, yp1
+        elif not zeros:
+            y0, yp0 = _carry(piece, lam, y0, yp0, piece.x0, piece.x1)
         else:
             for e11, e12, e21, e22, _, _, dd, _, d, z, x, length in stretches(
                     piece, lam, piece.x0, piece.x1):
@@ -259,6 +243,8 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | None
                             out.append(t)
                 placed.clear()
                 y0, yp0 = y1, yp1
+        # max(scale, size), NaN included, without the call, which made
+        # constant-piece D about 30 % slower
         size = abs(y0) + abs(yp0)
         if size > scale:
             scale = size
@@ -434,13 +420,13 @@ def _detection_grid(spec: ProblemSpec, lo: float, hi: float,
 
 
 @lambda_entry
-def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
+def _scan_chunk(spec: ProblemSpec, lo: float, tol: float,
                 grid: list[float]) -> list[float]:
-    """Locate real eigenvalues in ``[lo, hi]`` (may return near-duplicates
-    at chunk edges; the caller merges).  ``grid`` is this chunk's slice of
-    the one detection lattice all workers share, so the found set is
-    identical for any worker count.  One guard covers the chunk, in the
-    worker, and names ``lo`` on an overflow; the walks inside run bare.
+    """Locate real eigenvalues from the cells of ``grid``, this chunk's
+    slice of the one detection lattice all workers share; the caller keeps
+    the roots in the window and merges, so the found set is identical for
+    any worker count.  One guard covers the chunk, in the worker, and names
+    its first node ``lo`` on an overflow; the walks inside run bare.
 
     The lattice is read in one pass: one zero walk per node gives its ``D``
     and count, then each cell is sorted.  A quiet cell, with no sign change,
@@ -455,7 +441,7 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
 
     def dval(x: float) -> float:
         if x not in d_cache:
-            d, scale = characteristic_scaled.__wrapped__(spec, x)
+            _, d, scale = _zero_walk(spec, x, False)
             d_cache[x] = d / scale
         return d_cache[x]
 
@@ -471,8 +457,7 @@ def _scan_chunk(spec: ProblemSpec, lo: float, hi: float, tol: float,
         polished, residual, scale = _newton_polish(spec, x)
         if residual > _ROOT_RESIDUAL * scale:
             return  # a |D| minimum or count jump that is not actually a root
-        if lo - 1e-9 * max(1.0, abs(lo)) <= polished <= hi + 1e-9 * max(1.0, abs(hi)):
-            roots.append(polished)
+        roots.append(polished)
 
     def probe_flat_minimum(x0: float, x1: float) -> None:
         """Cell at maximum refinement that still dips: check for a genuine
@@ -631,7 +616,7 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
     n_cells = len(nodes) - 1
     threads = _thread_count(n_cells)
     bounds = [round(j * n_cells / threads) for j in range(threads + 1)]
-    jobs = [(spec, nodes[b0], nodes[b1], tol, nodes[b0:b1 + 1])
+    jobs = [(spec, nodes[b0], tol, nodes[b0:b1 + 1])
             for b0, b1 in zip(bounds, bounds[1:]) if b1 > b0]
     if threads == 1:
         parts = [_scan_chunk(*jobs[0])]
@@ -640,7 +625,10 @@ def find_real_eigenvalues(spec: ProblemSpec, window: tuple[float, float],
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_scan_chunk, *zip(*jobs)))
 
-    roots = _merge_roots([r for part in parts for r in part], tol)
+    # the roots in the window, whichever chunk's polish reached them
+    first, last = lo - 1e-9 * max(1.0, abs(lo)), hi + 1e-9 * max(1.0, abs(hi))
+    roots = _merge_roots([r for part in parts for r in part
+                          if first <= r <= last], tol)
 
     records = []
     notes: list[str] = []

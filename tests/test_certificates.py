@@ -155,6 +155,21 @@ class TestDisconjugacy:
         assert w.min_value > 0.0
         assert disconjugate_on(coeff, 12.0, (0.0, 1.0)) is None   # sqrt(12) > pi
 
+    def test_sampled_sign_refuses_what_the_count_misses(self):
+        # u is launched 1e-6 left of c = 0, so at mu = (pi / (1 + eps))^2 its
+        # first zero is at 1 + eps - 1e-6.  With eps = 5e-7 that zero lies
+        # inside the count's Dirichlet end band of d = 1, so the count reads
+        # 0 and only u(d) < 0 refuses; with eps = 5e-6 u(d) is about 4e-6
+        coeff = PiecewiseCoefficient((Piece(0.0, 1.0, 1.0, 0.0),))
+        mu = (math.pi / (1.0 + 5e-7)) ** 2
+        launched = PiecewiseCoefficient((Piece(-1e-6, 0.0, 1.0, 0.0),
+                                         Piece(0.0, 1.0, 1.0, 0.0)))
+        assert count_zeros(ProblemSpec(launched), mu) == 0
+        assert disconjugate_on(coeff, mu, (0.0, 1.0)) is None
+        w = disconjugate_on(coeff, (math.pi / (1.0 + 5e-6)) ** 2, (0.0, 1.0))
+        assert w.method == "principal_solution"
+        assert w.min_value == pytest.approx(4e-6, rel=1e-6)
+
     def test_sign_shortcut(self, one_tp_m10):
         # mu w + q <= 0 throughout: disconjugate with no integration
         w = disconjugate_on(one_tp_m10.coeff, 0.0, (-1.0, 1.0))

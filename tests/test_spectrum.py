@@ -190,9 +190,11 @@ def chained_weighted_norm(spec: ProblemSpec, lam: float) -> float:
 
 
 class TestInlineStep:
-    """``characteristic_scaled`` crosses constant pieces inline and
-    tabulated ones by ``_carry``, with the update the lambda-fold applies:
-    D and D' read one computed solution, bit for bit."""
+    """``characteristic_scaled``, the zero walk's D-only mode at real
+    lambda and a fold of its own at complex lambda, crosses constant pieces
+    by the kernels, inline or by one ``cs_kernels`` call, and tabulated ones
+    by ``_carry``, with the update the lambda-fold applies: D and D' read
+    one computed solution, bit for bit."""
 
     @given(mixed_problems(), st.floats(min_value=-300.0, max_value=300.0),
            st.floats(min_value=-30.0, max_value=30.0))
@@ -651,13 +653,51 @@ class TestRealScan:
                                                refine=np.int64(2))
             assert numpy_fine == fine and repr(numpy_fine) == repr(fine)
 
+    # problems 3 and 10 of the scan_tabulated output digest: a Newton polish
+    # started in one chunk lands on a root in the other, in last bits that
+    # differ from the other chunk's own polish of it
+    DIGEST_SPLITS = [
+        (ProblemSpec(PiecewiseCoefficient((
+            Piece(-0.511973549977724, 0.3769729392005401, -1.1683259550061644,
+                  ((-0.511973549977724, -2.1974420480494565),
+                   (-0.06750030538859197, -12.910770894592794),
+                   (0.3769729392005401, -0.6976255754120224))),
+            Piece(0.3769729392005401, 1.168583975068805, -1.4926181129354472,
+                  10.900602727175688))),
+            0.14962364592547714, 0.9362244892955801),
+         29.231139889333914),
+        (ProblemSpec(PiecewiseCoefficient((
+            Piece(-0.7846565382593051, 0.022220209402377344,
+                  -1.1709339798419214,
+                  ((-0.7846565382593051, -3.692148647996534),
+                   (0.022220209402377344, -0.8107338726938611))),
+            Piece(0.022220209402377344, 0.8151387539948236,
+                  -1.7599548084387933,
+                  ((0.022220209402377344, -5.869317035036124),
+                   (0.8151387539948236, 4.722068173705104))),
+            Piece(0.8151387539948236, 1.1424203536759796,
+                  -1.2110038135445578,
+                  ((0.8151387539948236, 13.89551495468681),
+                   (0.9242326205552089, 9.33172789408033),
+                   (1.0333264871155943, -6.922931078869354),
+                   (1.1424203536759796, -10.375961994719862))))),
+            1.6585110971311634, 0.3819296992141441),
+         36.557672534234385),
+    ]
+
     def test_parallel_scan_matches_serial(self, one_tp_m10, monkeypatch):
-        # workers share one detection lattice, so the result must be
-        # byte-identical to the serial scan, not merely close
-        serial = find_real_eigenvalues(one_tp_m10, (-60.0, 60.0), 1e-9)
-        monkeypatch.setenv("SL_THREADS", "3")
-        parallel = find_real_eigenvalues(one_tp_m10, (-60.0, 60.0), 1e-9)
-        assert scan_to_csv(parallel) == scan_to_csv(serial)
+        # workers share one detection lattice and the roots are kept by the
+        # window, not by the chunk, so the result must be byte-identical to
+        # the serial scan, not merely close
+        cases = [(one_tp_m10, 60.0, "3"),
+                 *((spec, w, "2") for spec, w in self.DIGEST_SPLITS)]
+        for spec, half_width, threads in cases:
+            window = (-half_width, half_width)
+            monkeypatch.delenv("SL_THREADS", raising=False)
+            serial = find_real_eigenvalues(spec, window, 1e-9)
+            monkeypatch.setenv("SL_THREADS", threads)
+            parallel = find_real_eigenvalues(spec, window, 1e-9)
+            assert scan_to_csv(parallel) == scan_to_csv(serial), window
 
     def test_window_edge_warning(self, classical_spec):
         res = find_real_eigenvalues(classical_spec, (PI2, 50.0), 1e-9)
@@ -1130,6 +1170,12 @@ class TestLambdaRange:
             for walk in (count_zeros, interior_zeros):
                 with pytest.raises(NumericalFailure, match="phase"):
                     walk(classical_spec, lam)
+        # the lambda-fold's stretches call cs_kernels, whose real branch
+        # checks the phase
+        with pytest.raises(NumericalFailure, match="phase"):
+            weighted_norm(classical_spec, 1e31)
+        with pytest.raises(NumericalFailure, match="phase"):
+            solution_at(classical_spec, 1e31, [0.5, 1.0])
 
     def test_tabulated_phase_past_double_precision_is_numerical_failure(
             self):
