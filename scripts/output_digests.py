@@ -6,7 +6,7 @@ Usage:
     python3 scripts/output_digests.py ROOT
 
 ROOT is the checkout whose ``src/`` (the library) and ``perfbench/`` (the
-benchmark's problem pools) are imported.  Five kinds of line are printed:
+benchmark's problem pools) are imported.  Six kinds of line are printed:
 
 * ``random N HEX``: 2400 seeded random problems, constant and tabulated
   pieces, real, large and complex lambda, through the characteristic
@@ -15,6 +15,9 @@ benchmark's problem pools) are imported.  Five kinds of line are printed:
 * ``pointwise N HEX``: every op of the ``pointwise`` pools of seeds 1-3;
 * ``scan_const SEED N HEX``: the ``richardson_numbers`` report of every op
   of the ``scan_const`` pool of seeds 1-5, in pool order;
+* ``lattice_counts N HEX``: ``count_zeros`` at every node of the detection
+  lattice the real scan lays over each op's window, for the ``scan_const``
+  pools of seeds 1-2;
 * ``scan_tabulated N HEX``: ``find_real_eigenvalues`` on 40 seeded problems
   with tabulated and constant pieces, windows ``(-W, W)`` with ``W <= 60``,
   every third at ``refine=2``;
@@ -106,6 +109,18 @@ def scan_const_digest(lib, workloads, seed: int) -> tuple[int, str]:
     return n, h.hexdigest()
 
 
+def lattice_counts_digest(lib, workloads) -> tuple[int, str]:
+    h, n = hashlib.sha256(), 0
+    for seed in (1, 2):
+        for op in workloads["scan_const"].generate(seed):
+            spec = lib.coefficients.problem_from_dict(op["problem"])
+            for x in lib.spectrum._detection_grid(spec, *op["window"]):
+                count = out(lib.spectrum.count_zeros, spec, x)
+                h.update(f"{count}\n".encode())
+                n += 1
+    return n, h.hexdigest()
+
+
 def scan_tabulated_digest(lib) -> tuple[int, str]:
     from slindef import Piece, PiecewiseCoefficient, ProblemSpec
 
@@ -163,6 +178,7 @@ def main(argv: list[str]) -> int:
     for seed in range(1, 6):
         print("scan_const", seed, *scan_const_digest(lib, WORKLOADS, seed),
               flush=True)
+    print("lattice_counts", *lattice_counts_digest(lib, WORKLOADS), flush=True)
     print("scan_tabulated", *scan_tabulated_digest(lib), flush=True)
     print("complex_scan", *complex_scan_digest(lib), flush=True)
     return 0

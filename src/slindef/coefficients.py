@@ -136,22 +136,37 @@ def _require_real(lam: complex | float, what: str) -> float:
     return float(lam)
 
 
+def _as_lambda(lam) -> complex | float:
+    """A numpy scalar or 0-d array, a ``Fraction``, ... as a Python
+    ``complex`` if its type is complex, else as a ``float``."""
+    import numbers  # only here: the CLI passes Python numbers
+    lam = lam[()] if getattr(lam, "ndim", None) == 0 else lam
+    real = isinstance(lam, numbers.Real) or not isinstance(lam, numbers.Complex)
+    return float(lam) if real else complex(lam)
+
+
 def lambda_entry(fn):
     """Guard a public ``fn(spec, lam, ...)``: a ``spec`` that is no problem,
     or a ``lam`` that is not one number (a ``bool``, string, ``None`` or
     container), NaN or infinite is an :class:`InvalidProblemError`, and float
     overflow inside (``cosh`` past ``e^709``, a NaN reaching ``int``) a
-    :class:`NumericalFailure`."""
+    :class:`NumericalFailure`.  Any other ``lam`` than a Python ``float``,
+    ``int`` or ``complex`` is read by :func:`_as_lambda`."""
 
     @functools.wraps(fn)
     def guarded(spec, lam, *args, **kwargs):
         if not isinstance(spec, ProblemSpec):
             _as_problem(spec)
         # cmath rejects str, None and lists, not bools or 1-element arrays;
-        # every call pays these tests, so no message is built unless one fails
-        number = type(lam) is not bool and getattr(lam, "ndim", 0) == 0
+        # every call pays these tests, so no message is built unless one
+        # fails, and a Python number is passed on as it is
+        python = type(lam) in (float, complex, int)
+        number = python or (type(lam) is not bool
+                            and getattr(lam, "ndim", 0) == 0)
         try:
             finite = number and cmath.isfinite(lam)
+            if finite and not python:
+                lam = _as_lambda(lam)
         except TypeError:
             number = finite = False
         if not finite:

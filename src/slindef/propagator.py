@@ -31,7 +31,8 @@ states.  The zero walk, the hottest loop and the one walk at real
 ``lambda``, crosses constant pieces with the same arithmetic inline, and
 it and the real Magnus steps take the real branches of :func:`cs_kernels`
 inline, in its operation order: a call per step made tabulated walks
-10-19 % slower, and a call per constant piece made ``D`` 10-13 % slower.
+10-19 % slower, and a call per constant piece made ``D`` 10-13 % slower;
+its count mode counts an oscillating constant piece's zeros there too.
 Every stretch carries the lambda-derivative of ``(y, y')`` in closed form,
 and one fold, :func:`_lambda_fold`, serves every use of it: the weighted
 norm by the Lagrange identity, Newton's exact ``D'`` and the zero drift.

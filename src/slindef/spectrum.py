@@ -50,6 +50,7 @@ _EPS = 2.220446049250313e-16
 # Newton's point is a root only when |D| <= _ROOT_RESIDUAL * scale
 _ROOT_RESIDUAL = 1e-7
 _PI2 = math.pi * math.pi
+_OSCILLATING = 1e-2  # the phase sqrt(k2) * length past which zeros go by it
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +104,7 @@ def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
     ``end``, an oscillating stretch appends only its first zero and its last
     one up to ``t = end`` and counts those between; otherwise it returns 0.
     """
-    if k2 > 0.0 and math.sqrt(k2) * length > 1e-2:
+    if k2 > 0.0 and math.sqrt(k2) * length > _OSCILLATING:
         # Oscillatory: y(t) = A sin(k t + phi).
         k = math.sqrt(k2)
         phi = math.atan2(y0, v / k)
@@ -155,7 +156,8 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | bool | None
     Without ``out``, an oscillating stretch other than a sloped step (below)
     places only its first zero and its last one before the end band, and
     counts those between, which lie ``pi / k`` apart and inside the cuts
-    below: the count's memory does not grow with ``lam``.
+    below: the count's memory does not grow with ``lam``.  An oscillating
+    constant piece does so in place, with the kernel's ``k``.
 
     A stretch whose phase is below pi holds at most one zero, so none when
     ``y`` keeps its sign across it, and the walk skips it.  Inside a sloped
@@ -207,16 +209,30 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | bool | None
                 c, s = math.cosh(kt), math.sinh(kt) / k
             y1, yp1 = c * y0 + s * yp0, -z * s * y0 + c * yp0
             if zeros and not (y0 * y1 > 0.0 and u < _PI2):
-                count += _stretch_zeros(
-                    placed, z, length, y0, yp0, y1, x, snap,
-                    None if out is not None else hi - x)
-                for t in placed:
-                    if not (t <= lo or t >= hi or t - last <= snap):
-                        count += 1
-                        last = t
-                        if out is not None:
-                            out.append(t)
-                placed.clear()
+                if (out is None and z > 0.0 and abs(u) >= _SERIES_CUTOFF
+                        and kt > _OSCILLATING):
+                    phi = math.atan2(y0, yp0 / k)
+                    m_lo = math.floor((phi + k * snap) / math.pi) + 1
+                    end = hi - x
+                    m_hi = math.floor(
+                        (phi + k * (length if end > length else end)) / math.pi)
+                    if m_hi > m_lo:
+                        count += m_hi - m_lo - 1
+                    for m in ((m_lo, m_hi) if m_hi > m_lo
+                              else (m_lo,) if m_hi == m_lo else ()):
+                        t = x + (m * math.pi - phi) / k
+                        if not (t <= lo or t >= hi or t - last <= snap):
+                            count += 1
+                            last = t
+                else:
+                    _stretch_zeros(placed, z, length, y0, yp0, y1, x, snap)
+                    for t in placed:
+                        if not (t <= lo or t >= hi or t - last <= snap):
+                            count += 1
+                            last = t
+                            if out is not None:
+                                out.append(t)
+                    placed.clear()
             y0, yp0 = y1, yp1
         elif not zeros:
             y0, yp0 = _carry(piece, lam, y0, yp0, piece.x0, piece.x1)

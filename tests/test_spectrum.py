@@ -8,6 +8,7 @@ import pathlib
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,10 +97,42 @@ KERNEL_EDGES = [
                       (-1.0, 3.0, 3.5))]
 
 
-def at_kernel_edges(args):
-    """``@example(*args(spec, lam))`` for each case of ``KERNEL_EDGES``."""
+# Where the count walk counts an oscillating constant piece's zeros in
+# place, placing only the first and the last for the keep test.  Only the
+# two band-edge cases drop a zero placed there (t >= hi); none reaches the
+# t <= a + snap or the dedup test in place, nor did any count of the
+# scan_const pools of seeds 1-3.
+_BAND_EDGE = PiecewiseCoefficient((Piece(0.0, 1.0, 1.0, 0.0),))
+COUNT_EDGES = [
+    # the first piece holds 1, 2 and 5 zeros
+    *((ProblemSpec(PiecewiseCoefficient((
+        Piece(0.0, 1.0, 1.0, 0.0), Piece(1.0, 2.0, -1.0, 5.0))), 0.3, 0.9),
+       lam) for lam in (20.0, 40.0, 300.0)),
+    # y = sin(10 (x - x0)) with x0 at the Dirichlet band's edge 1 - 1e-6 and
+    # at b - 1e-12, the edge of beta != 0: x0 is the last of four zeros,
+    # placed and dropped by the keep test (t >= hi)
+    (ProblemSpec(_BAND_EDGE, 3.0768486076610224, 0.0), 100.0),
+    (ProblemSpec(_BAND_EDGE, 3.076847193245562, 0.9), 100.0),
+    # the same solution across a breakpoint at 0.5, so the last piece, with
+    # its zero in the band, is cut at hi - 0.5 < its length
+    (ProblemSpec(PiecewiseCoefficient((
+        Piece(0.0, 0.5, 1.0, 0.0), Piece(0.5, 1.0, 2.0, -100.0))),
+        3.0768486076610224, 0.0), 100.0),
+    # a zero on the breakpoint 1 of two oscillating pieces (k = 5 and
+    # sqrt(45)), placed by the first; 20 ulps of alpha lower it lies 3.5e-16
+    # past 1, where y(1) < 0 < y'(1), and the second piece's phase leaves it
+    # to the first, which has no sign change: both walks drop it
+    *((ProblemSpec(PiecewiseCoefficient((
+        Piece(0.0, 1.0, 1.0, 0.0), Piece(1.0, 2.0, 1.0, 20.0))),
+        alpha, 0.9), 25.0) for alpha in (0.5945070301538051,
+                                         0.5945070301538029)),
+]
+
+
+def at_cases(cases, args):
+    """``@example(*args(spec, lam))`` for each ``(spec, lam)`` of ``cases``."""
     def add(test):
-        for spec, lam in KERNEL_EDGES:
+        for spec, lam in cases:
             test = example(*args(spec, lam))(test)
         return test
     return add
@@ -198,7 +231,7 @@ class TestInlineStep:
 
     @given(mixed_problems(), st.floats(min_value=-300.0, max_value=300.0),
            st.floats(min_value=-30.0, max_value=30.0))
-    @at_kernel_edges(lambda spec, lam: (spec, lam, 0.5))
+    @at_cases(KERNEL_EDGES, lambda spec, lam: (spec, lam, 0.5))
     def test_equals_the_lambda_fold(self, spec, lam, im):
         for z in (lam, complex(lam, im)):
             d, _, scale = _d_and_slope(spec, z)
@@ -374,8 +407,9 @@ class TestZeroCounting:
     @example(ProblemSpec(PiecewiseCoefficient((Piece(0.0, 1.0, 1.0, 0.0),)),
                          math.pi - math.atan(math.tan(10.0 * (1.0 - 5e-7))
                                              / 10.0)), True, 100.0)
-    @at_kernel_edges(lambda spec, lam: (spec, False, lam))
-    @at_kernel_edges(lambda spec, lam: (spec, True, lam))
+    @at_cases(COUNT_EDGES, lambda spec, lam: (spec, False, lam))
+    @at_cases(KERNEL_EDGES, lambda spec, lam: (spec, False, lam))
+    @at_cases(KERNEL_EDGES, lambda spec, lam: (spec, True, lam))
     def test_count_is_length_of_zero_list(self, spec, dirichlet_b, lam):
         if dirichlet_b:
             spec = ProblemSpec(spec.coeff, spec.alpha, 0.0)
@@ -392,11 +426,22 @@ class TestZeroCounting:
         Piece(0.0, 0.6, 1.0, 4.0),
         Piece(0.6, 1.5, -2.0, ((0.6, -5.0), (1.5, 12.0))))), 0.0, 0.7),
         -400.0)
-    @at_kernel_edges(lambda spec, lam: (spec, lam))
+    @at_cases(COUNT_EDGES, lambda spec, lam: (spec, lam))
+    @at_cases(KERNEL_EDGES, lambda spec, lam: (spec, lam))
     def test_walk_gives_characteristic_and_count(self, spec, lam):
         count, d, scale = spectrum._zero_walk(spec, lam, None)
         assert (d, scale) == characteristic_scaled(spec, lam)
         assert count == len(interior_zeros(spec, lam))
+
+    # every node of the real scan's lattice over +-250: the scan reads the
+    # count there, in place on oscillating constant pieces
+    @pytest.mark.parametrize("spec", [
+        one_turning_point(-10.0), application_problem(0.0),
+        two_turning_point(-1.0, 1.0, -1.0, 0.0)],
+        ids=["one_tp", "application", "two_tp"])
+    def test_count_is_length_of_zero_list_on_the_scan_lattice(self, spec):
+        for lam in spectrum._detection_grid(spec, -250.0, 250.0):
+            assert count_zeros(spec, lam) == len(interior_zeros(spec, lam)), lam
 
     # the second piece as a constant and as a flat table, whose zeros the
     # walk keeps on its two routes
@@ -1124,6 +1169,37 @@ class TestLambdaRange:
         for fn in self.ENTRY_POINTS:
             with pytest.raises(InvalidProblemError):
                 fn(one_tp_m10, lam)
+
+    # a number of another type is read once as a Python float, or as a
+    # complex when its type is complex: no single-precision arithmetic, no
+    # dropped imaginary part, and a Python number out
+    D_1_PLUS_1J = 88.24357538389872 - 0.7434436572951411j
+    D_3 = 84.91959127702287
+
+    @pytest.mark.parametrize("lam, want", [
+        (np.complex64(1 + 1j), D_1_PLUS_1J),
+        (np.complex128(1 + 1j), D_1_PLUS_1J),
+        (np.array(1 + 1j), D_1_PLUS_1J),
+        (1 + 1j, D_1_PLUS_1J),
+        (np.float32(3.0), D_3),
+        (np.float64(3.0), D_3),
+        (np.int64(3), D_3),
+        (np.array(3.0), D_3),
+        (Fraction(3), D_3),
+        (3.0, D_3),
+        (3, D_3),
+    ], ids=["complex64", "complex128", "0-d complex", "complex", "float32",
+            "float64", "int64", "0-d float", "Fraction", "float", "int"])
+    def test_lambda_of_another_number_type(self, one_tp_m10, lam, want):
+        got = characteristic(one_tp_m10, lam)
+        assert got == want
+        assert type(got) is type(want)
+
+    def test_complex_typed_lambda_is_not_read_as_real(self, one_tp_m10):
+        with pytest.raises(InvalidProblemError, match="requires a real lambda"):
+            count_zeros(one_tp_m10, np.complex64(1 + 1j))
+        assert count_zeros(one_tp_m10, np.complex64(3.0)) == count_zeros(
+            one_tp_m10, 3.0)
 
     @pytest.mark.parametrize("lam", [6e5, -6e5, 1e8, -1e8])
     def test_large_lambda_gives_result_or_numerical_failure(self, lam):
