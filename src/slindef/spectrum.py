@@ -97,18 +97,19 @@ def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
                    v: float, y1: float, x0: float, snap: float,
                    end: float | None = None) -> int:
     """Append the zeros of ``y(t) = C(k2, t) y0 + S(k2, t) v`` on
-    ``(0, length]``, whose end value is ``y1``, at ``x0 + t``, and return
+    ``[0, length]``, whose end value is ``y1``, at ``x0 + t``, and return
     how many more it counted without appending them.
 
-    A zero within ``snap`` of ``t = 0`` belongs to the stretch before.  Given
-    ``end``, an oscillating stretch appends only its first zero and its last
-    one up to ``t = end`` and counts those between; otherwise it returns 0.
+    An oscillating stretch places its zeros from ``t = -snap``, and the
+    walk's dedup keeps one copy of a zero the stretch before placed too.
+    Given ``end``, it appends only its first zero and its last one up to
+    ``t = end`` and counts those between; otherwise it returns 0.
     """
     if k2 > 0.0 and math.sqrt(k2) * length > _OSCILLATING:
         # Oscillatory: y(t) = A sin(k t + phi).
         k = math.sqrt(k2)
         phi = math.atan2(y0, v / k)
-        m_lo = math.floor((phi + k * snap) / math.pi) + 1
+        m_lo = math.floor((phi - k * snap) / math.pi) + 1
         t_hi = length if end is None or end > length else end
         ms = range(m_lo, math.floor((phi + k * t_hi) / math.pi) + 1)
         inner = 0
@@ -119,13 +120,9 @@ def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
         return inner
     # At most one zero on the stretch, where C(k2, t) y0 + S(k2, t) v = 0
     # in closed form.
-    if y0 == 0.0:
-        ys, ts = math.copysign(1.0, v), snap
-    else:
-        ys, ts = y0, 0.0
     if y1 == 0.0:
         zeros.append(x0 + length)
-    elif (ys < 0.0) != (y1 < 0.0):
+    elif (y0 < 0.0) != (y1 < 0.0):
         ratio = -y0 / v
         if k2 < 0.0:
             kappa = math.sqrt(-k2)
@@ -136,7 +133,7 @@ def _stretch_zeros(zeros: list[float], k2: float, length: float, y0: float,
         else:
             k = math.sqrt(k2)
             t_star = math.atan(k * ratio) / k
-        zeros.append(x0 + min(max(t_star, ts), length))
+        zeros.append(x0 + min(max(t_star, 0.0), length))
     return 0
 
 
@@ -165,11 +162,11 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | bool | None
     is only about third order, so each zero placed there takes one Newton
     step on the solution :func:`_carry` steps to it, within the step.
 
-    Each stretch places its zeros in order, after those of the stretches
-    before (where two stretches meet, rounding can swap two placements of
-    one zero, and the dedup keeps the first), so one pass keeps a zero
-    unless it lies within ``snap`` of ``a``, within an end band of ``b``, or
-    within ``snap`` of the zero kept last.
+    Each stretch places its zeros in order, an oscillating one from
+    ``t = -snap``, so a zero where two stretches meet can be placed by both,
+    and the dedup keeps the first: one pass keeps a zero unless it lies
+    within ``snap`` of ``a``, within an end band of ``b``, or within
+    ``snap`` of the zero kept last.
     For Dirichlet conditions at ``b`` the band is ``1e-6 * (b - a)``: at an
     eigenvalue the exact eigenfunction's boundary zero sits at ``b``, but
     the computed solution displaces it by roughly ``|y(b)| / |y'(b)|``,
@@ -212,7 +209,7 @@ def _zero_walk(spec: ProblemSpec, lam: float, out: list[float] | bool | None
                 if (out is None and z > 0.0 and abs(u) >= _SERIES_CUTOFF
                         and kt > _OSCILLATING):
                     phi = math.atan2(y0, yp0 / k)
-                    m_lo = math.floor((phi + k * snap) / math.pi) + 1
+                    m_lo = math.floor((phi - k * snap) / math.pi) + 1
                     end = hi - x
                     m_hi = math.floor(
                         (phi + k * (length if end > length else end)) / math.pi)
@@ -447,9 +444,10 @@ def _scan_chunk(spec: ProblemSpec, lo: float, tol: float,
     The lattice is read in one pass: one zero walk per node gives its ``D``
     and count, then each cell is sorted.  A quiet cell, with no sign change,
     equal counts, non-zero ``D`` at both ends and a width above the floor,
-    takes its midpoint's ``D`` and is done unless ``|D|`` dips there; every
-    other cell (sign change, count jump, dip, node on a root, floor width)
-    goes on the stack, which bisects, brackets and probes it.  Every
+    takes its midpoint's ``D`` and is done unless ``D`` flips or ``|D|``
+    dips there; every other cell (sign change, count jump, flip or dip, node
+    on a root, floor width) goes on the stack, which bisects, brackets and
+    probes it; a cell split at a flip brackets a root in each half.  Every
     decision reads the values the stack alone would read at the same
     points, so the found set does not depend on the pass."""
     d_cache: dict[float, float] = {}
@@ -499,13 +497,14 @@ def _scan_chunk(spec: ProblemSpec, lo: float, tol: float,
         if x not in c_cache:
             c_cache[x], d, scale = _zero_walk(spec, x, None)
             d_cache[x] = d / scale
-    # a quiet cell is done unless its midpoint's |D| is below both ends'
+    # a quiet cell is done unless D flips its sign or |D| dips at the midpoint
     stack = []
     for x0, x1 in cells:
         d0, d1 = d_cache[x0], d_cache[x1]
         if not (d0 * d1 > 0.0 and c_cache[x0] == c_cache[x1]
                 and x1 - x0 > min_width * max(1.0, abs(x0), abs(x1))
-                and abs(dval(0.5 * (x0 + x1))) >= min(abs(d0), abs(d1))):
+                and (dm := dval(0.5 * (x0 + x1))) * d0 > 0.0
+                and abs(dm) >= min(abs(d0), abs(d1))):
             stack.append((x0, x1, 0))
 
     while stack:
@@ -550,10 +549,11 @@ def _scan_chunk(spec: ProblemSpec, lo: float, tol: float,
             stack.append((xm, x1, depth + 1))
             continue
         dm = dval(xm)
-        if abs(dm) < min(abs(d0), abs(d1)):
-            # |D| dips inside a quiet cell: either a close pair or a double
-            # root.  Recurse while the cell is wide, then probe.
-            if width > 64.0 * tol * scale_x:
+        flip = (dm < 0.0) != (d0 < 0.0)
+        if flip or abs(dm) < min(abs(d0), abs(d1)):
+            # A flip or a dip at the midpoint: a close pair or a double root.
+            # Split while D flips or the cell is wide, then probe.
+            if flip or width > 64.0 * tol * scale_x:
                 stack.append((x0, xm, depth + 1))
                 stack.append((xm, x1, depth + 1))
             else:

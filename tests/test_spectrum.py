@@ -98,10 +98,11 @@ KERNEL_EDGES = [
 
 
 # Where the count walk counts an oscillating constant piece's zeros in
-# place, placing only the first and the last for the keep test.  Only the
-# two band-edge cases drop a zero placed there (t >= hi); none reaches the
-# t <= a + snap or the dedup test in place, nor did any count of the
-# scan_const pools of seeds 1-3.
+# place, placing only the first and the last for the keep test.  The two
+# band-edge cases drop a zero placed there (t >= hi), and the first
+# breakpoint case drops by the dedup the zero that the piece before placed.
+# Only t <= a + snap drops one in the scan_const pools of seeds 1-3: a
+# Dirichlet start's zero at a, which a piece placing from t = -snap places.
 _BAND_EDGE = PiecewiseCoefficient((Piece(0.0, 1.0, 1.0, 0.0),))
 COUNT_EDGES = [
     # the first piece holds 1, 2 and 5 zeros
@@ -119,9 +120,9 @@ COUNT_EDGES = [
         Piece(0.0, 0.5, 1.0, 0.0), Piece(0.5, 1.0, 2.0, -100.0))),
         3.0768486076610224, 0.0), 100.0),
     # a zero on the breakpoint 1 of two oscillating pieces (k = 5 and
-    # sqrt(45)), placed by the first; 20 ulps of alpha lower it lies 3.5e-16
-    # past 1, where y(1) < 0 < y'(1), and the second piece's phase leaves it
-    # to the first, which has no sign change: both walks drop it
+    # sqrt(45)), placed by both and kept once; 20 ulps of alpha lower it lies
+    # 3.5e-16 past 1, where y(1) < 0 < y'(1), and only the second piece,
+    # which places its zeros from t = -snap, places it
     *((ProblemSpec(PiecewiseCoefficient((
         Piece(0.0, 1.0, 1.0, 0.0), Piece(1.0, 2.0, 1.0, 20.0))),
         alpha, 0.9), 25.0) for alpha in (0.5945070301538051,
@@ -460,6 +461,35 @@ class TestZeroCounting:
         assert len(zeros) == count_zeros(spec, 25.0) == 2
         assert zeros == pytest.approx([1.0 - math.pi / 5.0, 1.0], abs=1e-12)
 
+    # alpha stepped ulp by ulp across the place where a zero of the left
+    # solution crosses a breakpoint between two oscillating pieces; the
+    # exact count, from the closed form at 60 digits, is the same at every
+    # alpha.  Where the zero lies within snap past the breakpoint the piece
+    # before ends with y of its old sign and places none, so the piece after
+    # must place it, from t = -snap.
+    @pytest.mark.parametrize("pieces, beta, lam, alpha, ulps, step, want", [
+        (((0.0, 1.0, 1.0, 0.0), (1.0, 2.0, 1.0, 20.0)), 0.9, 25.0,
+         0.5945070301538051, 60, 2, 4),
+        # the zero lies 1.3e-17 past 0.5544022343420985
+        (((0.0, 0.5544022343420985, 0.7502593570096097, 19.238264766598625),
+          (0.5544022343420985, 1.3475309361467906, 1.9267052256124528,
+           -6.39706443259354),
+          (1.3475309361467906, 1.8441273752152774, -1.2871234048016174,
+           -19.536773719101)),
+         0.8270076352739651, 5.63890705142947, 0.10085178806808148, 40, 1, 1),
+    ], ids=["two_pieces", "three_pieces"])
+    def test_zero_just_past_a_breakpoint_is_counted(self, pieces, beta, lam,
+                                                    alpha, ulps, step, want):
+        coeff = PiecewiseCoefficient(tuple(Piece(*p) for p in pieces))
+        for _ in range(ulps):
+            alpha = math.nextafter(alpha, 0.0)
+        for _ in range(0, 2 * ulps + 1, step):
+            spec = ProblemSpec(coeff, alpha, beta)
+            assert count_zeros(spec, lam) == want, alpha
+            assert len(interior_zeros(spec, lam)) == want, alpha
+            for _ in range(step):
+                alpha = math.nextafter(alpha, math.pi)
+
     # lambda*w + q on a half-unit piece: decaying/growing, linear, or so
     # slowly oscillating that sqrt(k2) * length <= 1e-2
     NON_OSCILLATORY_K2 = st.one_of(
@@ -631,6 +661,17 @@ class TestRealScan:
                                     window, 1e-4)
         assert [name for name, _ in brackets] == ["dprime"]
         assert res.records == ()
+
+    def test_cell_whose_midpoint_flips_sign(self):
+        # on +-89.04 the lattice cell [-1.22, 1.22] has D(+-1.22) = -2.55e-3
+        # and D(0) = +8.59e-3, so it holds two roots although |D| does not
+        # dip at its midpoint; the complex search finds the same two
+        res = find_real_eigenvalues(one_turning_point(9.95497624378173),
+                                    (-89.04, 89.04))
+        assert [r.re_lambda for r in res.records] == pytest.approx(
+            [-63.32636723409358, -16.96324862934823, -1.0702867665872,
+             1.0702867665872, 16.963248629348225, 63.32636723409356],
+            rel=1e-9)
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP F5: rounding splits D ~ c lambda^2 into sign changes wider "
